@@ -3,8 +3,11 @@
 Only the forward pass is implemented: the feature extractor of Section V-D
 is *frozen* ("keep the pre-trained parameters ... frozen and use the 5-th
 pooling layer as the output"), so no gradients are ever needed.  Convolution
-is implemented with stride-tricks im2col + matmul, which is the fastest
-portable route in pure NumPy.
+copies stride-tricks im2col patches into one contiguous array and multiplies
+it by the flattened kernels with ``np.matmul``, which hands every image its
+own BLAS GEMM; max pooling is a running ``np.maximum`` over strided views.
+Neither mixes images, so each image's output is independent of the batch it
+arrives in (streaming authentication relies on this).
 
 Tensor layout: ``(batch, channels, height, width)``.
 """
@@ -12,6 +15,7 @@ Tensor layout: ``(batch, channels, height, width)``.
 from __future__ import annotations
 
 import abc
+import itertools
 
 import numpy as np
 
@@ -37,7 +41,10 @@ def _validate_nchw(x: np.ndarray) -> np.ndarray:
 
 
 def im2col(x: np.ndarray, kernel: int, stride: int = 1) -> np.ndarray:
-    """Extract sliding patches as columns (zero-copy via stride tricks).
+    """Extract sliding patches as columns.
+
+    The stride-tricks view is laid out as ``(N, C, kh, kw, out_h, out_w)``
+    from the start, so the final reshape is the one (contiguous) copy.
 
     Args:
         x: Input of shape ``(N, C, H, W)`` (already padded if needed).
@@ -58,12 +65,10 @@ def im2col(x: np.ndarray, kernel: int, stride: int = 1) -> np.ndarray:
     sn, sc, sh, sw = x.strides
     patches = np.lib.stride_tricks.as_strided(
         x,
-        shape=(n, c, out_h, out_w, kernel, kernel),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
+        shape=(n, c, kernel, kernel, out_h, out_w),
+        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
         writeable=False,
     )
-    # (N, C, kh, kw, out_h, out_w) -> (N, C*kh*kw, out_h*out_w)
-    patches = patches.transpose(0, 1, 4, 5, 2, 3)
     return patches.reshape(n, c * kernel * kernel, out_h * out_w)
 
 
@@ -71,7 +76,8 @@ class Conv2D(Layer):
     """2-D convolution with 'same' zero padding.
 
     Args:
-        weights: Kernel tensor of shape ``(out_c, in_c, k, k)``.
+        weights: Kernel tensor of shape ``(out_c, in_c, k, k)``; ``k`` must
+            be odd, since 'same' padding is symmetric.
         bias: Bias of shape ``(out_c,)``; zeros when omitted.
         stride: Spatial stride.
     """
@@ -86,6 +92,11 @@ class Conv2D(Layer):
         if weights.ndim != 4 or weights.shape[2] != weights.shape[3]:
             raise ValueError(
                 f"weights must be (out_c, in_c, k, k), got {weights.shape}"
+            )
+        if weights.shape[2] % 2 == 0:
+            raise ValueError(
+                f"'same' padding needs an odd kernel, got "
+                f"{weights.shape[2]}x{weights.shape[3]}"
             )
         if stride < 1:
             raise ValueError(f"stride must be >= 1, got {stride}")
@@ -105,20 +116,20 @@ class Conv2D(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = _validate_nchw(x)
-        if x.shape[1] != self.in_channels:
+        n, c, h, w = x.shape
+        if c != self.in_channels:
             raise ValueError(
-                f"input has {x.shape[1]} channels, layer expects "
-                f"{self.in_channels}"
+                f"input has {c} channels, layer expects {self.in_channels}"
             )
         pad = self.kernel // 2
-        if pad:
-            x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        n, _, h, w = x.shape
-        out_h = (h - self.kernel) // self.stride + 1
-        out_w = (w - self.kernel) // self.stride + 1
-        cols = im2col(x, self.kernel, self.stride)
-        out = np.einsum("of,nfp->nop", self._flat_weights, cols)
-        out += self.bias[None, :, None]
+        padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+        padded[:, :, pad : pad + h, pad : pad + w] = x
+        cols = im2col(padded, self.kernel, self.stride)
+        # matmul broadcasts the kernels over the batch: one GEMM per image.
+        out = np.matmul(self._flat_weights, cols)
+        out += self.bias[:, None]
+        out_h = (h - 1) // self.stride + 1
+        out_w = (w - 1) // self.stride + 1
         return out.reshape(n, self.out_channels, out_h, out_w)
 
 
@@ -143,18 +154,20 @@ class MaxPool2D(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = _validate_nchw(x)
-        n, c, h, w = x.shape
         s = self.size
-        if h % s or w % s:
-            # Truncate ragged edges (VGG-style pooling on odd sizes).
-            x = x[:, :, : h - h % s, : w - w % s]
-            n, c, h, w = x.shape
+        h, w = x.shape[2:]
         if h < s or w < s:
             raise ValueError(
                 f"input {h}x{w} smaller than the pooling window {s}"
             )
-        reshaped = x.reshape(n, c, h // s, s, w // s, s)
-        return reshaped.max(axis=(3, 5))
+        # Rows and columns past the last whole window are dropped
+        # (VGG-style pooling on odd sizes).
+        rows, cols = h - h % s, w - w % s
+        out = x[:, :, :rows:s, :cols:s].copy()
+        for i, j in itertools.product(range(s), repeat=2):
+            if i or j:
+                np.maximum(out, x[:, :, i:rows:s, j:cols:s], out=out)
+        return out
 
 
 class Flatten(Layer):

@@ -100,6 +100,17 @@ class TestMiniVGGish:
         far = np.linalg.norm(f[0] - f[2])
         assert near < 0.3 * far
 
+    @pytest.mark.parametrize("batch_size", [1, 2, 3, 4, 16])
+    def test_rows_independent_of_batch(self, batch_size):
+        # Streaming (one image at a time) must equal the batch path bitwise.
+        rng = np.random.default_rng(batch_size)
+        images = [rng.standard_normal((24, 24)) for _ in range(batch_size)]
+        order = rng.permutation(batch_size)
+        net = MiniVGGish()
+        batch = net.extract([images[i] for i in order])
+        for row, i in enumerate(order):
+            assert np.array_equal(batch[row], net.extract([images[i]])[0])
+
     def test_gain_invariance_via_normalisation(self):
         image = np.random.default_rng(4).standard_normal((48, 48))
         net = MiniVGGish()
