@@ -8,15 +8,17 @@ Enrolls one synthetic user, authenticates a fresh attempt, and prints:
    steering-geometry cache that PR 1 landed (grid angles/ranges memoized
    on the plane, per-band steering matrices reused across beeps),
 4. a batched vs sequential imaging comparison — ``image_batch``
-   (shared filter-bank front end + grouped-GEMM beamforming, the PR 3
-   serving-layer kernel) against the paper-shaped per-beep loop,
+   (one filter-bank front end for the whole attempt, the serving
+   layer's path) against the paper-shaped per-beep loop; both run the
+   same per-beep window-covariance energy kernel,
 5. a metrics-on vs metrics-off comparison of ``authenticate`` — the
    overhead of the PR 2 metrics registry and drift monitors, which must
    stay well under 5% of the pipeline wall time.
 
 The numbers printed by steps 3-5 are the source of the
 performance-baseline table in EXPERIMENTS.md.  ``--quick`` runs only
-the batched-imaging smoke (bitwise parity + at-least-as-fast) and exits
+the batched-imaging smoke (bitwise parity + at-least-as-fast, the two
+paths alternating within each repeat so CPU drift hits both) and exits
 non-zero on regression; CI runs it on every push.
 
 Run:  PYTHONPATH=src python scripts/profile_pipeline.py
@@ -75,35 +77,55 @@ def parse_args() -> argparse.Namespace:
     return parser.parse_args()
 
 
+def image_once(
+    imager: AcousticImager, recordings, plane, batched: bool = False
+) -> float:
+    """Wall time of imaging all recordings once from cold caches."""
+    # A fresh equal plane forces cold plane-geometry memos while
+    # exercising the imager exactly as authenticate() does.
+    fresh_plane = type(plane)(
+        distance_m=plane.distance_m,
+        side_m=plane.side_m,
+        resolution=plane.resolution,
+        center_z_m=plane.center_z_m,
+    )
+    imager._steering_plane = None
+    imager._steering_by_band = {}
+    imager._gather_key = None
+    imager._gather = None
+    started = time.perf_counter()
+    if batched:
+        imager.image_batch(recordings, fresh_plane)
+    else:
+        imager.images(recordings, fresh_plane)
+    return time.perf_counter() - started
+
+
 def time_imaging(
-    imager: AcousticImager,
-    recordings,
-    plane,
-    repeats: int,
-    batched: bool = False,
+    imager: AcousticImager, recordings, plane, repeats: int
 ) -> float:
     """Best-of-``repeats`` wall time of imaging all recordings once."""
-    best = float("inf")
-    for _ in range(repeats):
-        # A fresh equal plane forces cold plane-geometry memos while
-        # exercising the imager exactly as authenticate() does.
-        fresh_plane = type(plane)(
-            distance_m=plane.distance_m,
-            side_m=plane.side_m,
-            resolution=plane.resolution,
-            center_z_m=plane.center_z_m,
-        )
-        imager._steering_plane = None
-        imager._steering_by_band = {}
-        imager._gather_key = None
-        imager._gather = None
-        started = time.perf_counter()
-        if batched:
-            imager.image_batch(recordings, fresh_plane)
-        else:
-            imager.images(recordings, fresh_plane)
-        best = min(best, time.perf_counter() - started)
-    return best
+    return min(
+        image_once(imager, recordings, plane) for _ in range(repeats)
+    )
+
+
+def time_sequential_vs_batched(
+    imager: AcousticImager, recordings, plane, repeats: int
+) -> tuple[float, float]:
+    """Best-of-``repeats`` ``(images, image_batch)`` wall times.
+
+    Each repeat times both paths, alternating which goes first, so CPU
+    drift over the measurement lands on both sides alike.
+    """
+    best = {False: float("inf"), True: float("inf")}
+    for repeat in range(repeats):
+        for batched in (False, True) if repeat % 2 == 0 else (True, False):
+            best[batched] = min(
+                best[batched],
+                image_once(imager, recordings, plane, batched=batched),
+            )
+    return best[False], best[True]
 
 
 def run_quick(args) -> int:
@@ -140,12 +162,13 @@ def run_quick(args) -> int:
             return 1
 
     repeats = max(args.repeats, 5)
-    loop_s = time_imaging(imager, attempt, plane, repeats)
-    batch_s = time_imaging(imager, attempt, plane, repeats, batched=True)
+    loop_s, batch_s = time_sequential_vs_batched(
+        imager, attempt, plane, repeats
+    )
     speedup = loop_s / batch_s
     print(
         f"Batched imaging smoke ({num_beeps} beeps, resolution "
-        f"{args.resolution}, best of {repeats}):"
+        f"{args.resolution}, interleaved, best of {repeats}):"
     )
     print(f"  sequential loop: {loop_s * 1e3:8.2f} ms")
     print(f"  image_batch:     {batch_s * 1e3:8.2f} ms")
@@ -229,14 +252,15 @@ def main() -> int:
 
     # --- batched vs sequential imaging -----------------------------------
     # Both paths start from cold steering/gather caches each repeat, so
-    # the comparison isolates the batching itself: shared filter-bank
-    # front end + grouped-GEMM beamforming vs the per-beep loop.
-    loop_s = time_imaging(cached, attempt, plane, args.repeats)
-    batch_s = time_imaging(cached, attempt, plane, args.repeats, batched=True)
+    # the comparison isolates the batching itself: one filter-bank front
+    # end and steering set per attempt vs the per-beep loop.
+    loop_s, batch_s = time_sequential_vs_batched(
+        cached, attempt, plane, args.repeats
+    )
     print()
     print(
         f"Batched imaging (image_batch), {len(attempt)}-beep attempt "
-        f"(best of {args.repeats}):"
+        f"(interleaved, best of {args.repeats}):"
     )
     print(f"  sequential loop: {loop_s * 1e3:8.2f} ms")
     print(f"  image_batch:     {batch_s * 1e3:8.2f} ms")

@@ -24,8 +24,8 @@ from repro.bench.registry import perf_case, quality_case
 #: Base seed of every bench workload; changing it invalidates baselines.
 BENCH_SEED = 20230048
 
-#: Imaging resolution of the bench pipelines (small enough for CI, big
-#: enough that the grouped-GEMM beamformer dominates authenticate()).
+#: Imaging resolution of the bench pipelines (small enough for CI; the
+#: CNN and ranging outweigh imaging in authenticate() at this size).
 BENCH_RESOLUTION = 24
 
 #: Beeps per authentication attempt in the end-to-end cases.

@@ -14,7 +14,9 @@ segment whose round-trip delay matches the grid's range
 ``D_k = sqrt(x_k^2 + D_p^2 + z_k^2)`` (within a safeguard ``d'``) is
 extracted, and the pixel value is the segment's L2 norm — the energy of
 echoes arriving *from that direction at that range*, which is what
-separates body echoes from same-direction clutter at other ranges.
+separates body echoes from same-direction clutter at other ranges.  The
+norms are computed from the covariance of each distinct segment window
+(``_window_energies``); the beamformed segments are never formed.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import inspect
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.array.beamforming import Beamformer, MVDRBeamformer
 from repro.array.covariance import estimate_noise_covariance
@@ -315,78 +318,70 @@ class AcousticImager:
             high_hz=float(band_high),
             num_grids=plane.num_grids,
         ) as span:
-            return self._band_energy_traced(
-                recording, plane, band_index, band_low, band_high, span
+            filtered = self._bandpasses[band_index].apply(recording.samples)
+            analytic = analytic_signal(filtered)
+            energies, was_cached = self._beep_energies(
+                analytic, recording, plane, band_index
             )
+            span.set("steering_cached", was_cached)
+            metrics = pipeline_metrics()
+            if metrics is not None:
+                metrics.image_band_energy.labels(band=band_index).set(
+                    float(energies.sum())
+                )
+            return energies
 
-    def _band_energy_traced(
+    def _beep_energies(
         self,
+        analytic: np.ndarray,
         recording: BeepRecording,
         plane: ImagingPlane,
         band_index: int,
-        band_low: float,
-        band_high: float,
-        span,
-    ) -> np.ndarray:
-        filtered = self._bandpasses[band_index].apply(recording.samples)
-        analytic = analytic_signal(filtered)
-        weights, was_cached = self._band_weights(
-            analytic, recording.emit_index, plane, band_index,
-            band_low, band_high,
+    ) -> tuple[np.ndarray, bool]:
+        """Per-grid segment energies ``(K,)`` of one beep's sub-band.
+
+        ``analytic`` is the beep's band-passed analytic capture
+        ``(M, N)``; its pre-emission samples give the noise covariance
+        of the ``(K, M)`` MVDR weights.  :meth:`image` and
+        :meth:`image_batch` both call this once per beep with identical
+        operands, which is what keeps their outputs bit-identical.
+
+        Returns ``(energies, steering_was_cached)``.
+        """
+        noise_cov = estimate_noise_covariance(
+            analytic, noise_samples=recording.emit_index
         )
-        span.set("steering_cached", was_cached)
+        beamformer: Beamformer = self._beamformer_factory(
+            self.array, noise_cov
+        )
+        # Steer at the sub-band centre frequency.
+        edges = self._subband_edges
+        beamformer.frequency_hz = (
+            edges[band_index] + edges[band_index + 1]
+        ) / 2.0
+        theta, phi = plane.grid_angles()
+        steering, was_cached = self._band_steering(
+            beamformer, plane, band_index
+        )
+        if steering is not None:
+            weights = beamformer.weights_batch(theta, phi, steering=steering)
+        else:
+            weights = beamformer.weights_batch(theta, phi)
         gather = self._segment_gather(
             plane,
             sample_rate=recording.sample_rate,
             emit_index=recording.emit_index,
             num_samples=recording.num_samples,
         )
-        energies = _grid_energies(
+        num_mics = recording.num_mics
+        energies = _window_energies(
             analytic,
             weights,
             gather,
-            self._scratch_buffer("beamformed", plane.num_grids, gather.length),
-            self._scratch_buffer("weights", plane.num_grids, recording.num_mics),
+            self._scratch_buffer("weights", plane.num_grids, num_mics),
+            self._scratch_buffer("projected", plane.num_grids, num_mics),
         )
-        metrics = pipeline_metrics()
-        if metrics is not None:
-            metrics.image_band_energy.labels(band=band_index).set(
-                float(energies.sum())
-            )
-        return energies
-
-    def _band_weights(
-        self,
-        analytic: np.ndarray,
-        emit_index: int,
-        plane: ImagingPlane,
-        band_index: int,
-        band_low: float,
-        band_high: float,
-    ) -> tuple[np.ndarray, bool]:
-        """MVDR weights ``(K, M)`` of one beep for one sub-band.
-
-        Returns ``(weights, steering_was_cached)``.
-        """
-        noise_cov = estimate_noise_covariance(
-            analytic, noise_samples=emit_index
-        )
-        beamformer: Beamformer = self._beamformer_factory(
-            self.array, noise_cov
-        )
-        # Steer at the sub-band centre frequency.
-        beamformer.frequency_hz = (band_low + band_high) / 2.0
-        theta, phi = plane.grid_angles()
-        steering, was_cached = self._band_steering(
-            beamformer, plane, band_index
-        )
-        if steering is not None:
-            weights = beamformer.weights_batch(
-                theta, phi, steering=steering
-            )  # (K, M)
-        else:
-            weights = beamformer.weights_batch(theta, phi)  # (K, M)
-        return weights, was_cached
+        return energies, was_cached
 
     def _segment_gather(
         self,
@@ -400,14 +395,13 @@ class AcousticImager:
         Grid k's segment is centred on its round-trip delay ``2 D_k / c``
         after the emission, ``S = 2 * safeguard + 1`` samples long, and
         clamped inside the capture.  Because the delays are quantised to
-        samples, the K grids share only ~O(delay spread) distinct
-        windows; grouping the grids by window start lets the beamforming
-        kernel run one small GEMM per *window* on a contiguous slice of
-        the capture instead of materialising the full ``(M, K, S)``
-        segment tensor (a multi-megabyte gather per beep and sub-band).
-        The grouping depends only on the plane and the capture geometry
-        — not on the samples — so it is cached and replayed for every
-        beep and sub-band of an attempt.
+        samples, the K grids share only G ~ O(delay spread) distinct
+        windows (~230 for the paper's 180x180 plane); grouping the grids
+        by window start lets the energy kernel form one ``(M, M)``
+        covariance per *window* instead of beamforming a ``(K, S)``
+        segment tensor.  The grouping depends only on the plane and the
+        capture geometry — not on the samples — so it is cached and
+        replayed for every beep and sub-band of an attempt.
         """
         key = (plane, sample_rate, emit_index, num_samples)
         if self._gather_key == key and self._gather is not None:
@@ -427,15 +421,17 @@ class AcousticImager:
             )
         order = np.argsort(starts, kind="stable")
         sorted_starts = starts[order]
-        boundaries = np.flatnonzero(np.diff(sorted_starts)) + 1
-        groups = []
-        begin = 0
-        for end in [*boundaries.tolist(), starts.size]:
-            groups.append((int(sorted_starts[begin]), begin, int(end)))
-            begin = int(end)
+        # Position of each window's first grid in window order.
+        firsts = np.flatnonzero(np.diff(sorted_starts, prepend=-1))
+        bounds = [*firsts.tolist(), starts.size]
+        window_starts = sorted_starts[firsts]
         order.setflags(write=False)
+        window_starts.setflags(write=False)
         gather = _SegmentGather(
-            order=order, groups=tuple(groups), length=length
+            order=order,
+            starts=window_starts,
+            groups=tuple(zip(bounds[:-1], bounds[1:])),
+            length=length,
         )
         self._gather_key = key
         self._gather = gather
@@ -444,10 +440,12 @@ class AcousticImager:
     def _scratch_buffer(self, role: str, *shape: int) -> np.ndarray:
         """A reusable complex work buffer of the requested shape.
 
-        The beamformed-segment tensors are megabytes per call, large
-        enough that a fresh ``np.empty`` per beep lands in ``mmap``-ed
-        memory and pays kernel page-fault cost on every write; reusing
-        one buffer per (role, shape) keeps the pages warm.  ``role``
+        The kernel's ``(K, M)`` buffers (conjugated weights in window
+        order, and their products with the window covariances) reach
+        3 MB each on the paper's 180x180 plane, large enough that a fresh
+        ``np.empty`` per beep lands in ``mmap``-ed memory and pays kernel
+        page-fault cost on every write; reusing one buffer per (role,
+        shape) keeps the pages warm.  ``role``
         separates buffers that are live at the same time.  Callers fully
         overwrite the buffer before reading it.  (Like the steering
         cache, this makes the imager stateful — share one imager per
@@ -482,11 +480,13 @@ class AcousticImager:
         transform — is evaluated once on the stacked ``(L, M, N)``
         capture instead of L times, and the per-band steering matrices
         are computed once and replayed (the cache the sequential path
-        only warms after the first beep).  The per-beep MVDR weights and
-        segment energies are still evaluated exactly as in
+        only warms after the first beep).  The MVDR weights and segment
+        energies then go through the same per-beep kernel as
         :meth:`image`, so the output matches the sequential path
-        bit-for-bit on every platform we test (the golden harness under
-        ``tests/golden`` enforces ≤1e-10 drift as a safety net).
+        bit-for-bit by construction (the golden harness under
+        ``tests/golden`` enforces ≤1e-10 drift as a safety net), and the
+        batch holds no per-beep working memory beyond one ``(K,)``
+        energy row per beep.
 
         Falls back to the sequential loop when the captures are
         heterogeneous (different channel counts, lengths or sample
@@ -552,48 +552,13 @@ class AcousticImager:
             # path's while the per-call setup cost is paid once.
             filtered = self._bandpasses[band_index].apply(stacked)
             analytic = analytic_signal(filtered)  # (L, M, N)
-            num_beeps = len(recordings)
-            beamformed: np.ndarray | None = None
-            orders: list[np.ndarray] = []
+            energies = np.empty((len(recordings), plane.num_grids))
             any_cached = False
             for index, recording in enumerate(recordings):
-                weights, was_cached = self._band_weights(
-                    analytic[index], recording.emit_index, plane,
-                    band_index, band_low, band_high,
+                energies[index], was_cached = self._beep_energies(
+                    analytic[index], recording, plane, band_index
                 )
                 any_cached = any_cached or was_cached
-                gather = self._segment_gather(
-                    plane,
-                    sample_rate=recording.sample_rate,
-                    emit_index=recording.emit_index,
-                    num_samples=recording.num_samples,
-                )
-                if beamformed is None:
-                    beamformed = self._scratch_buffer(
-                        "beamformed",
-                        num_beeps,
-                        plane.num_grids,
-                        gather.length,
-                    )
-                _beamform_segments(
-                    analytic[index],
-                    weights,
-                    gather,
-                    beamformed[index],
-                    self._scratch_buffer(
-                        "weights", plane.num_grids, recording.num_mics
-                    ),
-                )
-                orders.append(gather.order)
-            # One fused energy reduction over the whole batch; the
-            # row-wise einsum is bit-identical to the sequential path's
-            # per-beep reduction.
-            sorted_energies = np.einsum(
-                "lks,lks->lk", beamformed, beamformed.conj(), optimize=True
-            ).real
-            energies = np.empty((num_beeps, plane.num_grids))
-            for index, order in enumerate(orders):
-                energies[index, order] = sorted_energies[index]
             span.set("steering_cached", any_cached)
             metrics = pipeline_metrics()
             if metrics is not None:
@@ -611,63 +576,60 @@ class _SegmentGather:
 
     Attributes:
         order: Permutation sorting the K grids by window start.
-        groups: ``(start_sample, begin, end)`` triples: grids
+        starts: The G distinct window start samples, ascending.
+        groups: One ``(begin, end)`` pair per window: grids
             ``order[begin:end]`` all use the window
-            ``[start_sample, start_sample + length)``.
+            ``[starts[g], starts[g] + length)``.
         length: Window length ``S = 2 * safeguard + 1``.
     """
 
     order: np.ndarray
-    groups: tuple[tuple[int, int, int], ...]
+    starts: np.ndarray
+    groups: tuple[tuple[int, int], ...]
     length: int
 
 
-def _beamform_segments(
+def _window_energies(
     analytic: np.ndarray,
     weights: np.ndarray,
     gather: _SegmentGather,
-    out: np.ndarray,
-    weight_scratch: np.ndarray,
-) -> None:
-    """Beamformed segments in window-sorted grid order, into ``(K, S)``.
-
-    One GEMM per distinct window: grids sharing a window start hit the
-    same contiguous capture slice, so nothing is gathered or copied
-    besides the ``(K, M)`` weight reorder (staged in ``weight_scratch``).
-    Both the sequential and the batched imaging paths call this with
-    identical per-beep operands, which is what keeps their outputs
-    bit-identical.
-    """
-    np.take(weights, gather.order, axis=0, out=weight_scratch)
-    np.conjugate(weight_scratch, out=weight_scratch)
-    for start, begin, end in gather.groups:
-        np.matmul(
-            weight_scratch[begin:end],
-            analytic[:, start : start + gather.length],
-            out=out[begin:end],
-        )
-
-
-def _grid_energies(
-    analytic: np.ndarray,
-    weights: np.ndarray,
-    gather: _SegmentGather,
-    beamformed: np.ndarray,
-    weight_scratch: np.ndarray,
+    conj_weights: np.ndarray,
+    projected: np.ndarray,
 ) -> np.ndarray:
     """Beamformed segment energies per grid, shape ``(K,)``.
 
-    The shared kernel of the sequential imaging path; ``beamformed`` is
-    a fully-overwritten ``(K, S)`` work buffer and the energy sum is
-    fused into an einsum to skip the ``hypot``-based ``np.abs``
-    intermediate.
+    Grid k's pixel energy is the squared L2 norm of its beamformed
+    segment, ``||w_k^H X_g||^2 = Re(w_k^H R_g w_k)`` with ``X_g`` the
+    ``(M, S)`` analytic window the grid shares with the rest of its
+    group and ``R_g = X_g X_g^H``.  So the kernel forms the G ``(M, M)``
+    window covariances in one batched matmul, then evaluates the
+    quadratic forms: one ``(n_g, M) @ (M, M)`` product per window into
+    the ``(K, M)`` buffer ``projected`` (rows ``w_k^H R_g``, in window
+    order), and one real reduction against the conjugated weights staged
+    in ``conj_weights``.  No ``(K, S)`` beamformed tensor exists.  The
+    quadratic form can round a hair below zero for a grid steered into
+    a null of its window, so energies are clamped at zero (``sqrt``
+    would make that a NaN pixel).
     """
-    _beamform_segments(analytic, weights, gather, beamformed, weight_scratch)
+    windows = sliding_window_view(analytic, gather.length, axis=-1)
+    segments = windows[:, gather.starts].transpose(1, 0, 2)  # (G, M, S)
+    covariances = segments @ segments.conj().transpose(0, 2, 1)
+    # ``order`` is a permutation, so "clip" never clips; it only spares
+    # ``take`` the buffered copy its default mode makes into ``out``.
+    np.take(weights, gather.order, axis=0, out=conj_weights, mode="clip")
+    np.conjugate(conj_weights, out=conj_weights)
+    for covariance, (begin, end) in zip(covariances, gather.groups):
+        np.matmul(
+            conj_weights[begin:end], covariance, out=projected[begin:end]
+        )
+    # Re(w_k^H R_g w_k) = Re(sum_m projected_km w_km); the float view of
+    # conj_weights interleaves (Re w, -Im w), so one real dot product per
+    # row of the interleaved float views is exactly that real part.
     energies = np.empty(gather.order.size)
     energies[gather.order] = np.einsum(
-        "ks,ks->k", beamformed, beamformed.conj(), optimize=True
-    ).real
-    return energies
+        "kf,kf->k", projected.view(float), conj_weights.view(float)
+    )
+    return np.maximum(energies, 0.0, out=energies)
 
 
 def _stackable(recordings: list[BeepRecording]) -> bool:

@@ -1,12 +1,12 @@
 """Golden-output regression harness for the imaging/serving stack.
 
-The optimized imaging kernels (grouped-GEMM beamforming, batched
-sub-band filtering) and the parallel serving backends all promise the
-*same numbers* as the paper-shaped sequential loop.  This module pins
-that promise to disk: a small set of deterministic synthetic cases is
-frozen into ``.npz`` fixtures (images, feature embeddings, decision
-scores and labels), and the golden tests under ``tests/golden`` replay
-every execution path against them.
+The optimized imaging kernels (window-covariance segment energies,
+batched sub-band filtering) and the parallel serving backends all
+promise the *same numbers* as the paper-shaped sequential loop.  This
+module pins that promise to disk: a small set of deterministic
+synthetic cases is frozen into ``.npz`` fixtures (images, feature
+embeddings, decision scores and labels), and the golden tests under
+``tests/golden`` replay every execution path against them.
 
 The case definitions live here — in the package, not the test tree — so
 the fixture *writer* (``scripts/refresh_golden.py``) and the fixture

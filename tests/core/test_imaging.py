@@ -1,13 +1,27 @@
 """Tests for the acoustic imager (Section V-C)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.acoustics.reflectors import ReflectorCloud
+from repro.array.beamforming import (
+    DelayAndSumBeamformer,
+    MVDRBeamformer,
+    SingleMicrophone,
+)
+from repro.array.covariance import estimate_noise_covariance
 from repro.config import ImagingConfig
-from repro.core.imaging import AcousticImager, ImagingPlane
+from repro.core.imaging import (
+    AcousticImager,
+    ImagingPlane,
+    _SegmentGather,
+    _window_energies,
+)
+from repro.signal.analytic import analytic_signal
 
 
 class TestImagingPlane:
@@ -227,3 +241,131 @@ class TestSteeringCache:
         assert theta_a is theta_b
         with pytest.raises(ValueError):
             theta_a[0] = 0.0
+
+
+#: Beamformer factories the imager accepts, ``(array, noise_cov) -> bf``.
+BEAMFORMER_FACTORIES = {
+    "mvdr": lambda arr, cov: MVDRBeamformer(
+        array=arr,
+        noise_covariance=cov,
+        loading=ImagingConfig().diagonal_loading,
+    ),
+    "delay_and_sum": lambda arr, cov: DelayAndSumBeamformer(array=arr),
+    "single_mic": lambda arr, cov: SingleMicrophone(array=arr, mic_index=2),
+}
+
+
+def _reference_image(imager, factory, recording, plane):
+    """The paper's pixels (Section V-C), one grid at a time.
+
+    For each grid: steer the beamformer at it, beamform the range-gated
+    window ``[start_k, start_k + S)`` of the analytic capture, and take
+    the segment's squared L2 norm; sub-band energies are averaged before
+    the square root.  Band-pass filters and sub-band edges are the
+    imager's own, so only the per-grid energy is under test.
+    """
+    fs = recording.sample_rate
+    half = max(1, round(imager.config.safeguard_s * fs))
+    length = 2 * half + 1
+    theta, phi = plane.grid_angles()
+    edges = imager._subband_edges
+    energies = np.zeros((imager.config.subbands, plane.num_grids))
+    for band in range(imager.config.subbands):
+        analytic = analytic_signal(
+            imager._bandpasses[band].apply(recording.samples)
+        )
+        beamformer = factory(
+            imager.array,
+            estimate_noise_covariance(
+                analytic, noise_samples=recording.emit_index
+            ),
+        )
+        beamformer.frequency_hz = (edges[band] + edges[band + 1]) / 2.0
+        weights = beamformer.weights_batch(theta, phi)
+        for k, range_m in enumerate(plane.grid_ranges()):
+            delay = 2.0 * range_m / imager.speed_of_sound
+            center = recording.emit_index + int(np.round(delay * fs))
+            start = min(max(center - half, 0), recording.num_samples - length)
+            segment = weights[k].conj() @ analytic[:, start : start + length]
+            energies[band, k] = np.linalg.norm(segment) ** 2
+    pixels = np.sqrt(energies.mean(axis=0))
+    return pixels.reshape(plane.resolution, plane.resolution)
+
+
+class TestEnergyKernel:
+    """The covariance kernel against the paper-literal definition."""
+
+    @pytest.mark.parametrize("subbands", [1, 2])
+    @pytest.mark.parametrize("factory", sorted(BEAMFORMER_FACTORIES))
+    def test_matches_per_grid_beamforming(
+        self, array, quiet_scene, chirp, subject, factory, subbands
+    ):
+        rng = np.random.default_rng(11)
+        cloud = subject.beep_clouds(0.7, 1, rng)[0]
+        recording = quiet_scene.record_beep(chirp, cloud, rng)
+        plane = ImagingPlane(distance_m=0.7, resolution=12)
+        imager = AcousticImager(
+            array,
+            config=ImagingConfig(grid_resolution=12, subbands=subbands),
+            beamformer_factory=BEAMFORMER_FACTORIES[factory],
+        )
+        image = imager.image(recording, plane)
+        reference = _reference_image(
+            imager, BEAMFORMER_FACTORIES[factory], recording, plane
+        )
+        assert np.max(np.abs(image - reference)) <= 1e-12 * reference.max()
+
+    def test_energies_non_negative_in_a_null(self):
+        # A rank-1 window X = u s^T and weights orthogonal to u: every
+        # quadratic form w^H (X X^H) w is exactly zero, and rounding puts
+        # about half of them a hair below it without the clamp.
+        rng = np.random.default_rng(5)
+        num_mics, num_grids, length = 6, 2000, 29
+        u = rng.standard_normal(num_mics) + 1j * rng.standard_normal(num_mics)
+        s = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        analytic = u[:, None] * s[None, :]
+        shape = (num_grids, num_mics)
+        weights = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        weights -= np.outer(weights @ u.conj() / np.vdot(u, u), u)
+        gather = _SegmentGather(
+            order=rng.permutation(num_grids),
+            starts=np.array([3, 30]),
+            groups=((0, 1000), (1000, num_grids)),
+            length=length,
+        )
+        energies = _window_energies(
+            analytic,
+            weights,
+            gather,
+            np.empty((num_grids, num_mics), dtype=complex),
+            np.empty((num_grids, num_mics), dtype=complex),
+        )
+        scale = np.vdot(u, u).real * np.vdot(s, s).real
+        assert np.all(np.isfinite(energies))
+        assert np.all(energies >= 0.0)
+        assert np.all(energies <= 1e-12 * scale * num_mics)
+
+
+def test_image_batch_holds_no_segment_tensor(
+    array, quiet_scene, chirp, subject
+):
+    """Imaging a 2-beep attempt on a warm paper-size plane (180x180) never
+    allocates as much as one beep's ``(K, S)`` beamformed-segment tensor."""
+    rng = np.random.default_rng(3)
+    recordings = quiet_scene.record_beeps(
+        chirp, subject.beep_clouds(0.7, 2, rng), rng
+    )
+    config = ImagingConfig(grid_resolution=180)
+    plane = ImagingPlane.from_config(0.7, config)
+    imager = AcousticImager(array, config=config)
+    imager.image_batch(recordings, plane)  # warm steering, gather, scratch
+    fs = recordings[0].sample_rate
+    segment_length = 2 * max(1, round(config.safeguard_s * fs)) + 1
+    segment_tensor_bytes = plane.num_grids * segment_length * 16
+    tracemalloc.start()
+    try:
+        imager.image_batch(recordings, plane)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < segment_tensor_bytes
