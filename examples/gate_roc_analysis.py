@@ -91,9 +91,10 @@ def main() -> None:
          recorded_replay_of_body(victim, fidelity=1.0, rng=rng)),
     ]:
         recordings = scene.record_beeps(chirp, [body] * 6, rng)
+        captures = builder._estimator.captures(recordings)
         try:
             distance = builder._estimator.estimate(
-                recordings
+                recordings, captures
             ).user_distance_m
         except Exception:
             rows.append([label, "no echo", "-"])
@@ -101,7 +102,7 @@ def main() -> None:
         from repro.core.imaging import ImagingPlane
 
         plane = ImagingPlane.from_config(distance, config.imaging)
-        images = builder._imager.images(recordings, plane)
+        images = builder._imager.images(recordings, plane, captures)
         decoy_features = extractor.extract(images)
         scores = auth.spoofer_scores(decoy_features)
         accepted = float(np.mean(scores >= 0))

@@ -8,9 +8,12 @@ Enrolls one synthetic user, authenticates a fresh attempt, and prints:
    steering-geometry cache that PR 1 landed (grid angles/ranges memoized
    on the plane, per-band steering matrices reused across beeps),
 4. a batched vs sequential imaging comparison — ``image_batch``
-   (one filter-bank front end for the whole attempt, the serving
+   (one stacked filter-bank front end per sub-band, the serving
    layer's path) against the paper-shaped per-beep loop; both run the
-   same per-beep window-covariance energy kernel,
+   same per-beep window-covariance energy kernel.  Both are called
+   without ranging's captures, so each band-passes for itself; inside
+   the pipeline both reuse the captures ranging made, so at
+   ``subbands = 1`` neither filters and they differ only in spans,
 5. a metrics-on vs metrics-off comparison of ``authenticate`` — the
    overhead of the PR 2 metrics registry and drift monitors, which must
    stay well under 5% of the pipeline wall time.

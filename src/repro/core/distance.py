@@ -2,7 +2,10 @@
 
 The pipeline:
 
-1. band-pass the raw multichannel capture to the chirp band;
+1. band-pass the raw multichannel capture to the chirp band and take its
+   analytic signal — all L beeps of an attempt in one stacked call, whose
+   rows (:class:`~repro.signal.analytic.AnalyticCaptures`) the imager
+   reuses;
 2. MVDR-steer the array toward an arbitrary region of the user's upper
    body (``theta = pi/2`` — straight ahead — and ``phi`` in [pi/3, 2pi/3]);
 3. matched-filter the beamformed signal against the emitted chirp (Eq. 9)
@@ -31,7 +34,7 @@ from repro.acoustics.scene import BeepRecording
 from repro.config import BeepConfig, DistanceEstimationConfig
 from repro.core.telemetry import pipeline_metrics
 from repro.obs import ensure_trace, trace
-from repro.signal.analytic import analytic_signal, smooth_envelope
+from repro.signal.analytic import AnalyticCaptures, smooth_envelope
 from repro.signal.chirp import LFMChirp
 from repro.signal.correlation import matched_filter
 from repro.signal.filters import BandpassFilter
@@ -117,7 +120,12 @@ class DistanceEstimator:
     ``estimate`` records a ``distance.estimate`` span (one
     ``distance.envelope`` child per beep) into the ambient
     :mod:`repro.obs` trace, opening a standalone trace when none is
-    active.
+    active.  To range and then image the same attempt, build its
+    :meth:`captures` once and pass them to both stages::
+
+        captures = estimator.captures(recordings)
+        estimate = estimator.estimate(recordings, captures)
+        images = imager.images(recordings, plane, captures)
     """
 
     def __init__(
@@ -146,15 +154,30 @@ class DistanceEstimator:
         )
         self._template = LFMChirp.from_config(self.beep).samples()
 
-    def beamformed_signal(self, recording: BeepRecording) -> np.ndarray:
-        """Band-pass, analytic-transform and beamform one capture.
+    def captures(self, recordings: list[BeepRecording]) -> AnalyticCaptures:
+        """The attempt's ranging front end, evaluated on first use.
+
+        Band-pass (2–3 kHz) and Hilbert transform of every beep; see
+        :class:`~repro.signal.analytic.AnalyticCaptures`.
+        """
+        return AnalyticCaptures(recordings, self._bandpass)
+
+    def beamformed_signal(
+        self, recording: BeepRecording, analytic: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Beamform one capture's band-passed analytic signal.
+
+        Args:
+            recording: The capture.
+            analytic: Its row of the attempt's :meth:`captures`; computed
+                from ``recording`` when omitted.
 
         Returns:
             Complex beamformed signal of shape ``(N,)`` steered to the
             configured upper-body direction.
         """
-        filtered = self._bandpass.apply(recording.samples)
-        analytic = analytic_signal(filtered)
+        if analytic is None:
+            (analytic,) = self.captures([recording]).rows
         noise_cov = estimate_noise_covariance(
             analytic, noise_samples=recording.emit_index
         )
@@ -167,13 +190,16 @@ class DistanceEstimator:
             self.config.steer_elevation_rad,
         )
 
-    def correlation_envelope(self, recording: BeepRecording) -> np.ndarray:
+    def correlation_envelope(
+        self, recording: BeepRecording, analytic: np.ndarray | None = None
+    ) -> np.ndarray:
         """Envelope ``E_l(t)`` of the matched-filter output of one beep.
 
         The returned sequence is re-indexed to start at the emission sample
-        so delays read directly as propagation times.
+        so delays read directly as propagation times.  ``analytic`` is as
+        in :meth:`beamformed_signal`.
         """
-        beamformed = self.beamformed_signal(recording)
+        beamformed = self.beamformed_signal(recording, analytic)
         correlation = matched_filter(np.real(beamformed), self._template)
         envelope = smooth_envelope(
             correlation,
@@ -183,28 +209,51 @@ class DistanceEstimator:
         return envelope[recording.emit_index :]
 
     def averaged_envelope(
-        self, recordings: list[BeepRecording]
+        self,
+        recordings: list[BeepRecording],
+        captures: AnalyticCaptures | None = None,
     ) -> np.ndarray:
-        """Averaged squared envelope ``E(t)`` over L beeps (Eq. 10)."""
+        """Averaged squared envelope ``E(t)`` over L beeps (Eq. 10).
+
+        ``captures`` are as in :meth:`estimate`.
+        """
         if not recordings:
             raise ValueError("need at least one beep recording")
+        if captures is None or not captures.matches(
+            recordings, self._bandpass
+        ):
+            captures = self.captures(recordings)
         envelopes = []
-        for index, rec in enumerate(recordings):
+        for index, (rec, analytic) in enumerate(
+            zip(recordings, captures.rows)
+        ):
             with trace(
                 "distance.envelope",
                 beep=index,
                 bytes=int(rec.samples.nbytes),
             ):
-                envelopes.append(self.correlation_envelope(rec))
+                envelopes.append(self.correlation_envelope(rec, analytic))
         length = min(env.size for env in envelopes)
         stacked = np.stack([env[:length] for env in envelopes])
         return np.mean(np.abs(stacked) ** 2, axis=0)
 
-    def estimate(self, recordings: list[BeepRecording]) -> DistanceEstimate:
+    def estimate(
+        self,
+        recordings: list[BeepRecording],
+        captures: AnalyticCaptures | None = None,
+    ) -> DistanceEstimate:
         """Estimate the user–array distance from L beep captures.
+
+        The front end (band-pass and Hilbert transform) runs once for
+        all L beeps, inside the ``distance.estimate`` span; the matched
+        filter, envelope and MVDR steering then run per beep, each in its
+        ``distance.envelope`` span.
 
         Args:
             recordings: The captures; all must share one sample rate.
+            captures: The attempt's :meth:`captures`, which the imager
+                then reuses.  Captures of other recordings or of another
+                band are ignored and the front end runs here.
 
         Returns:
             The :class:`DistanceEstimate`.
@@ -226,7 +275,9 @@ class DistanceEstimator:
         ) as span:
             metrics = pipeline_metrics()
             try:
-                estimate = self._estimate_traced(recordings, sample_rate)
+                estimate = self._estimate_traced(
+                    recordings, sample_rate, captures
+                )
             except DistanceEstimationError:
                 if metrics is not None:
                     metrics.distance_estimates.labels(outcome="no_echo").inc()
@@ -244,9 +295,12 @@ class DistanceEstimator:
             return estimate
 
     def _estimate_traced(
-        self, recordings: list[BeepRecording], sample_rate: int
+        self,
+        recordings: list[BeepRecording],
+        sample_rate: int,
+        captures: AnalyticCaptures | None,
     ) -> DistanceEstimate:
-        envelope = self.averaged_envelope(recordings)
+        envelope = self.averaged_envelope(recordings, captures)
 
         threshold = self.config.peak_threshold_ratio * float(envelope.max())
         max_set = find_local_maxima(

@@ -34,7 +34,7 @@ from repro.acoustics.scene import BeepRecording
 from repro.config import BeepConfig, ImagingConfig
 from repro.core.telemetry import pipeline_metrics
 from repro.obs import ensure_trace, trace
-from repro.signal.analytic import analytic_signal
+from repro.signal.analytic import AnalyticCaptures
 from repro.signal.filters import BandpassFilter
 
 
@@ -229,7 +229,10 @@ class AcousticImager:
         ]
 
     def image(
-        self, recording: BeepRecording, plane: ImagingPlane
+        self,
+        recording: BeepRecording,
+        plane: ImagingPlane,
+        captures: AnalyticCaptures | None = None,
     ) -> np.ndarray:
         """Construct the acoustic image ``AI_l`` from one beep capture.
 
@@ -240,6 +243,8 @@ class AcousticImager:
         Args:
             recording: One multichannel beep capture.
             plane: The imaging plane (placed at the estimated distance).
+            captures: ``[recording]``'s band-passed analytic captures, as
+                in :meth:`images`.
 
         Returns:
             Image of shape ``(resolution, resolution)`` of non-negative
@@ -252,11 +257,7 @@ class AcousticImager:
             distance_m=plane.distance_m,
             bytes=int(recording.samples.nbytes),
         ) as span:
-            energies = [
-                self._band_energy(recording, plane, band_index)
-                for band_index in range(self.config.subbands)
-            ]
-            pixels = np.sqrt(np.mean(energies, axis=0))
+            (pixels,) = self._pixels([recording], plane, captures)
             metrics = pipeline_metrics()
             if metrics is not None:
                 # Imaging fidelity: how far the brightest pixel (the body
@@ -268,6 +269,20 @@ class AcousticImager:
                 metrics.image_dynamic_range_db.observe(dynamic_range_db)
                 span.set("dynamic_range_db", float(dynamic_range_db))
             return pixels.reshape(plane.resolution, plane.resolution)
+
+    def _pixels(
+        self,
+        recordings: list[BeepRecording],
+        plane: ImagingPlane,
+        captures: AnalyticCaptures | None,
+    ) -> np.ndarray:
+        """Pixel values of every beep, ``(L, K)``: the root of the mean
+        segment energy over the sub-bands."""
+        energies = [
+            self._band_energies(recordings, plane, band, captures)
+            for band in range(self.config.subbands)
+        ]  # subbands x (L, K)
+        return np.sqrt(np.mean(energies, axis=0))
 
     def _band_steering(
         self,
@@ -302,35 +317,6 @@ class AcousticImager:
         self._steering_by_band[band_index] = steer
         return steer, False
 
-    def _band_energy(
-        self,
-        recording: BeepRecording,
-        plane: ImagingPlane,
-        band_index: int,
-    ) -> np.ndarray:
-        """Per-grid segment energy of one sub-band, shape ``(K,)``."""
-        band_low = self._subband_edges[band_index]
-        band_high = self._subband_edges[band_index + 1]
-        with trace(
-            "imaging.band",
-            band=band_index,
-            low_hz=float(band_low),
-            high_hz=float(band_high),
-            num_grids=plane.num_grids,
-        ) as span:
-            filtered = self._bandpasses[band_index].apply(recording.samples)
-            analytic = analytic_signal(filtered)
-            energies, was_cached = self._beep_energies(
-                analytic, recording, plane, band_index
-            )
-            span.set("steering_cached", was_cached)
-            metrics = pipeline_metrics()
-            if metrics is not None:
-                metrics.image_band_energy.labels(band=band_index).set(
-                    float(energies.sum())
-                )
-            return energies
-
     def _beep_energies(
         self,
         analytic: np.ndarray,
@@ -344,7 +330,9 @@ class AcousticImager:
         ``(M, N)``; its pre-emission samples give the noise covariance
         of the ``(K, M)`` MVDR weights.  :meth:`image` and
         :meth:`image_batch` both call this once per beep with identical
-        operands, which is what keeps their outputs bit-identical.
+        operands (an analytic row is bitwise the same whether its beep
+        was filtered alone, in a stack, or by ranging), which is what
+        keeps their outputs bit-identical.
 
         Returns ``(energies, steering_was_cached)``.
         """
@@ -461,36 +449,54 @@ class AcousticImager:
         return buffer
 
     def images(
-        self, recordings: list[BeepRecording], plane: ImagingPlane
+        self,
+        recordings: list[BeepRecording],
+        plane: ImagingPlane,
+        captures: AnalyticCaptures | None = None,
     ) -> list[np.ndarray]:
         """One acoustic image per beep capture.
 
         The first beep warms the per-band steering cache for ``plane``;
         every subsequent beep reuses it (see ``steering_cache``).
+
+        ``captures`` are the attempt's band-passed analytic captures
+        from ranging
+        (:meth:`~repro.core.distance.DistanceEstimator.captures`).  Every
+        sub-band whose filter equals theirs — the single band of the
+        default ``subbands = 1`` — images from them instead of filtering
+        the recordings again; other sub-bands are filtered here.
         """
-        return [self.image(rec, plane) for rec in recordings]
+        if captures is None:
+            return [self.image(rec, plane) for rec in recordings]
+        return [
+            self.image(rec, plane, captures[index : index + 1])
+            for index, rec in enumerate(recordings)
+        ]
 
     def image_batch(
-        self, recordings: list[BeepRecording], plane: ImagingPlane
+        self,
+        recordings: list[BeepRecording],
+        plane: ImagingPlane,
+        captures: AnalyticCaptures | None = None,
     ) -> list[np.ndarray]:
         """Batched equivalent of :meth:`images` for one attempt.
 
         The L beeps of an attempt share the imaging plane, so the heavy
         per-beep front end — band-pass filtering and the Hilbert
         transform — is evaluated once on the stacked ``(L, M, N)``
-        capture instead of L times, and the per-band steering matrices
-        are computed once and replayed (the cache the sequential path
-        only warms after the first beep).  The MVDR weights and segment
-        energies then go through the same per-beep kernel as
-        :meth:`image`, so the output matches the sequential path
-        bit-for-bit by construction (the golden harness under
-        ``tests/golden`` enforces ≤1e-10 drift as a safety net), and the
-        batch holds no per-beep working memory beyond one ``(K,)``
-        energy row per beep.
+        capture per sub-band (or taken from ``captures``, as in
+        :meth:`images`), and the per-band steering matrices are computed
+        once and replayed (the cache the sequential path only warms after
+        the first beep).  The MVDR weights and segment energies then go
+        through the same per-beep kernel as :meth:`image`, so the output
+        matches the sequential path bit-for-bit by construction (the
+        golden harness under ``tests/golden`` enforces ≤1e-10 drift as a
+        safety net), and the batch holds no per-beep working memory
+        beyond one ``(K,)`` energy row per beep.
 
-        Falls back to the sequential loop when the captures are
-        heterogeneous (different channel counts, lengths or sample
-        rates).  An empty list returns ``[]``.
+        Captures of different shapes or sample rates are filtered beep
+        by beep.  A single recording goes through :meth:`images`, and an
+        empty list returns ``[]``.
 
         Returns:
             One ``(resolution, resolution)`` image per recording, in
@@ -498,8 +504,8 @@ class AcousticImager:
         """
         if not recordings:
             return []
-        if len(recordings) == 1 or not _stackable(recordings):
-            return self.images(recordings, plane)
+        if len(recordings) == 1:
+            return self.images(recordings, plane, captures)
         with ensure_trace(), trace(
             "imaging.image_batch",
             num_beeps=len(recordings),
@@ -508,14 +514,7 @@ class AcousticImager:
             distance_m=plane.distance_m,
             bytes=int(sum(rec.samples.nbytes for rec in recordings)),
         ):
-            stacked = np.stack(
-                [rec.samples for rec in recordings]
-            )  # (L, M, N)
-            energies = [
-                self._band_energy_batch(stacked, recordings, plane, band)
-                for band in range(self.config.subbands)
-            ]  # subbands x (L, K)
-            pixels = np.sqrt(np.mean(energies, axis=0))  # (L, K)
+            pixels = self._pixels(recordings, plane, captures)  # (L, K)
             metrics = pipeline_metrics()
             if metrics is not None:
                 for row in pixels:
@@ -528,42 +527,42 @@ class AcousticImager:
                 for row in pixels
             ]
 
-    def _band_energy_batch(
+    def _band_energies(
         self,
-        stacked: np.ndarray,
         recordings: list[BeepRecording],
         plane: ImagingPlane,
         band_index: int,
+        captures: AnalyticCaptures | None,
     ) -> np.ndarray:
         """Per-grid energies of one sub-band for all beeps, ``(L, K)``."""
-        band_low = self._subband_edges[band_index]
-        band_high = self._subband_edges[band_index + 1]
+        bandpass = self._bandpasses[band_index]
         with trace(
             "imaging.band",
             band=band_index,
-            low_hz=float(band_low),
-            high_hz=float(band_high),
+            low_hz=float(bandpass.low_hz),
+            high_hz=float(bandpass.high_hz),
             num_grids=plane.num_grids,
             num_beeps=len(recordings),
         ) as span:
-            # One zero-phase filter + Hilbert transform over the whole
-            # batch: both operate row-wise along the last axis, so each
-            # beep's analytic signal is bit-identical to the sequential
-            # path's while the per-call setup cost is paid once.
-            filtered = self._bandpasses[band_index].apply(stacked)
-            analytic = analytic_signal(filtered)  # (L, M, N)
+            # The attempt's shared captures serve this sub-band when they
+            # were made from these recordings with an equal filter.
+            if captures is None or not captures.matches(
+                recordings, bandpass
+            ):
+                captures = AnalyticCaptures(recordings, bandpass)
             energies = np.empty((len(recordings), plane.num_grids))
             any_cached = False
-            for index, recording in enumerate(recordings):
+            for index, (recording, analytic) in enumerate(
+                zip(recordings, captures.rows)
+            ):
                 energies[index], was_cached = self._beep_energies(
-                    analytic[index], recording, plane, band_index
+                    analytic, recording, plane, band_index
                 )
                 any_cached = any_cached or was_cached
             span.set("steering_cached", any_cached)
             metrics = pipeline_metrics()
             if metrics is not None:
-                # Parity with the sequential loop: the gauge holds the
-                # band energy of the last beep imaged.
+                # The gauge holds the band energy of the last beep imaged.
                 metrics.image_band_energy.labels(band=band_index).set(
                     float(energies[-1].sum())
                 )
@@ -630,16 +629,6 @@ def _window_energies(
         "kf,kf->k", projected.view(float), conj_weights.view(float)
     )
     return np.maximum(energies, 0.0, out=energies)
-
-
-def _stackable(recordings: list[BeepRecording]) -> bool:
-    """Whether all captures share one shape and sample rate."""
-    first = recordings[0]
-    return all(
-        rec.samples.shape == first.samples.shape
-        and rec.sample_rate == first.sample_rate
-        for rec in recordings[1:]
-    )
 
 
 _STEERING_SUPPORT: dict[type, bool] = {}

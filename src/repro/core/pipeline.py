@@ -42,6 +42,7 @@ from repro.obs.capture import (
     decision_document,
     get_capture_store,
 )
+from repro.signal.analytic import AnalyticCaptures
 
 
 @dataclass(frozen=True)
@@ -117,10 +118,13 @@ class EchoImagePipeline:
             :meth:`~repro.core.imaging.AcousticImager.image_batch`
             instead of the sequential per-beep loop.  Outputs are
             bit-identical (the golden harness under ``tests/golden``
-            enforces this); the batched path amortises the filter-bank
-            front end across the attempt's beeps.  Default off so the
-            seed pipeline stays byte-for-byte the paper's loop; the
-            serving layer (:mod:`repro.serve`) turns it on.
+            enforces this).  Both paths image from the band-passed
+            analytic captures ranging made for the attempt; the batched
+            one stacks the front end of any other sub-band and records
+            one ``imaging.image_batch`` span instead of one
+            ``imaging.image`` per beep.  Default off so the seed
+            pipeline stays byte-for-byte the paper's loop; the serving
+            layer (:mod:`repro.serve`) turns it on.
 
     Example::
 
@@ -186,10 +190,17 @@ class EchoImagePipeline:
     # ------------------------------------------------------------------
 
     def estimate_distance(
-        self, recordings: list[BeepRecording]
+        self,
+        recordings: list[BeepRecording],
+        captures: AnalyticCaptures | None = None,
     ) -> DistanceEstimate:
-        """Estimate the user–array distance from beep captures."""
-        return self.distance_estimator.estimate(recordings)
+        """Estimate the user–array distance from beep captures.
+
+        ``captures`` are the attempt's band-passed analytic captures
+        (``self.distance_estimator.captures(recordings)``), which ranging
+        fills and imaging then reuses.
+        """
+        return self.distance_estimator.estimate(recordings, captures)
 
     def imaging_plane(self, distance_m: float) -> ImagingPlane:
         """The imaging plane for a (typically estimated) user distance."""
@@ -209,18 +220,24 @@ class EchoImagePipeline:
         Returns:
             ``(images, plane)`` — one image per beep plus the plane used.
         """
+        captures = self.distance_estimator.captures(recordings)
         if distance_m is None:
-            distance_m = self.estimate_distance(recordings).user_distance_m
+            distance_m = self.estimate_distance(
+                recordings, captures
+            ).user_distance_m
         plane = self.imaging_plane(distance_m)
-        return self._image(recordings, plane), plane
+        return self._image(recordings, plane, captures), plane
 
     def _image(
-        self, recordings: list[BeepRecording], plane: ImagingPlane
+        self,
+        recordings: list[BeepRecording],
+        plane: ImagingPlane,
+        captures: AnalyticCaptures,
     ) -> list[np.ndarray]:
         """Image an attempt through the configured imaging path."""
         if self.batched_imaging:
-            return self.imager.image_batch(recordings, plane)
-        return self.imager.images(recordings, plane)
+            return self.imager.image_batch(recordings, plane, captures)
+        return self.imager.images(recordings, plane, captures)
 
     # ------------------------------------------------------------------
     # Enrollment
@@ -357,9 +374,10 @@ class EchoImagePipeline:
                 with trace(
                     "authenticate", num_beeps=len(recordings)
                 ) as root:
-                    distance = self.estimate_distance(recordings)
+                    captures = self.distance_estimator.captures(recordings)
+                    distance = self.estimate_distance(recordings, captures)
                     plane = self.imaging_plane(distance.user_distance_m)
-                    images = self._image(recordings, plane)
+                    images = self._image(recordings, plane, captures)
                     features = self.feature_extractor.extract(images)
                     if store is not None:
                         collector = StageCollector(
@@ -430,8 +448,8 @@ class EchoImagePipeline:
         Beeps are imaged, featurised and scored one at a time; once the
         running per-beep aggregate clears ``exit_policy`` (see
         :class:`repro.config.ExitPolicy`) the remaining beeps are never
-        imaged — imaging dominates per-attempt cost, so exiting after
-        beep ``k`` of ``L`` saves roughly ``(L - k)/L`` of it.
+        imaged, so exiting after beep ``k`` of ``L`` saves roughly
+        ``(L - k)/L`` of the imaging and feature-extraction cost.
 
         Exactness contract: the *final* decision always comes from one
         batch ``decide`` call over the consumed feature rows — the
@@ -445,9 +463,17 @@ class EchoImagePipeline:
         ``tests/serve/test_streaming_properties.py``).
 
         The distance estimate intentionally uses the *full* attempt in
-        both paths: ranging averages the beep envelopes (Eq. 10) and is
-        cheap, and sharing it keeps the imaging plane — and therefore
-        the consumed-prefix features — identical to the batch path.
+        both paths: ranging averages the beep envelopes (Eq. 10), and
+        sharing it keeps the imaging plane — and therefore the
+        consumed-prefix features — identical to the batch path.  That
+        makes ranging the one stage early exit cannot shorten, and on
+        the ``stream_observed`` serving benchmark (8-beep attempts,
+        early exit) it is the largest served stage: a traced
+        ``distance.estimate`` took 34–40 ms per request on a 2-vCPU VM
+        (one BLAS thread) while every beep's filters were designed and
+        applied one beep at a time, and 21–26 ms with the stacked front
+        end.  Ranging band-passes and Hilbert-transforms all L beeps
+        once, and beep ``k`` images from row ``k`` of those captures.
 
         Args:
             recordings: Beep captures of the attempt.
@@ -474,7 +500,8 @@ class EchoImagePipeline:
                     num_beeps=len(recordings),
                     streaming=True,
                 ) as root:
-                    distance = self.estimate_distance(recordings)
+                    captures = self.distance_estimator.captures(recordings)
+                    distance = self.estimate_distance(recordings, captures)
                     plane = self.imaging_plane(distance.user_distance_m)
                     if self._multi_auth is not None:
                         stream = self._multi_auth.begin_stream()
@@ -485,7 +512,9 @@ class EchoImagePipeline:
                     early = False
                     for index, recording in enumerate(recordings):
                         with trace("stream.beep", beep_index=index) as beep:
-                            images = self._image([recording], plane)
+                            images = self._image(
+                                [recording], plane, captures[index : index + 1]
+                            )
                             row = self.feature_extractor.extract(images)
                             rows.append(row)
                             if store is not None:

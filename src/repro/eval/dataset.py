@@ -229,14 +229,15 @@ class DatasetBuilder:
             num_beeps=spec.num_beeps,
             environment=spec.environment,
         ):
+            captures = self._estimator.captures(recordings)
             try:
-                estimate = self._estimator.estimate(recordings)
+                estimate = self._estimator.estimate(recordings, captures)
                 distance = estimate.user_distance_m
             except DistanceEstimationError:
                 distance = spec.distance_m
             distance = float(np.clip(distance, 0.2, 4.0))
             plane = ImagingPlane.from_config(distance, self.config.imaging)
-            images = self._imager.images(recordings, plane)
+            images = self._imager.images(recordings, plane, captures)
         return SessionImages(
             subject_id=subject.subject_id,
             images=images,

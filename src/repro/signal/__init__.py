@@ -1,6 +1,11 @@
 """Signal-processing substrate: chirps, filters, envelopes, correlation."""
 
-from repro.signal.analytic import analytic_signal, envelope, smooth_envelope
+from repro.signal.analytic import (
+    AnalyticCaptures,
+    analytic_signal,
+    envelope,
+    smooth_envelope,
+)
 from repro.signal.chirp import LFMChirp
 from repro.signal.correlation import matched_filter, normalized_xcorr
 from repro.signal.filters import BandpassFilter, butter_bandpass
@@ -10,6 +15,7 @@ __all__ = [
     "LFMChirp",
     "BandpassFilter",
     "butter_bandpass",
+    "AnalyticCaptures",
     "analytic_signal",
     "envelope",
     "smooth_envelope",

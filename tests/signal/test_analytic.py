@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy import signal as sp_signal
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -58,6 +59,21 @@ class TestSmoothEnvelope:
         mid = slice(4800, -4800)
         corr = np.corrcoef(env[mid], am[mid])[0, 1]
         assert corr > 0.99
+
+    @pytest.mark.parametrize(
+        "order, cutoff_hz, shape",
+        [(2, 2000.0, (2048,)), (2, 500.0, (3, 2048)), (4, 1200.0, (2, 3, 512))],
+    )
+    def test_bitwise_equal_to_butter_sosfiltfilt(self, order, cutoff_hz, shape):
+        x = np.random.default_rng(order).standard_normal(shape)
+        sos = sp_signal.butter(
+            order, cutoff_hz / 24_000.0, btype="lowpass", output="sos"
+        )
+        raw = np.abs(sp_signal.hilbert(x, axis=-1))
+        reference = np.clip(sp_signal.sosfiltfilt(sos, raw, axis=-1), 0, None)
+        for _ in range(2):  # the second call takes the cached design
+            out = smooth_envelope(x, 48_000, cutoff_hz=cutoff_hz, order=order)
+            assert np.array_equal(out, reference)
 
     def test_invalid_cutoff_raises(self):
         with pytest.raises(ValueError):

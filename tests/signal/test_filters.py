@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import signal as sp_signal
 
 from repro.signal.filters import BandpassFilter, butter_bandpass
 
@@ -23,6 +24,63 @@ class TestDesign:
     def test_sos_shape(self):
         sos = butter_bandpass(2000, 3000, 48_000, order=4)
         assert sos.ndim == 2 and sos.shape[1] == 6
+
+
+class TestEquality:
+    def test_equal_designs_compare_equal(self):
+        assert BandpassFilter() == BandpassFilter()
+        assert BandpassFilter(2000.0, 2500.0, order=3) == BandpassFilter(
+            2000.0, 2500.0, order=3
+        )
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            BandpassFilter(order=3),
+            BandpassFilter(low_hz=2100.0),
+            BandpassFilter(high_hz=2900.0),
+            BandpassFilter(sample_rate=44_100.0),
+        ],
+        ids=["order", "low", "high", "sample_rate"],
+    )
+    def test_different_designs_compare_unequal(self, other):
+        assert BandpassFilter() != other
+
+
+class TestScipyReference:
+    """``apply`` against ``scipy.signal.sosfiltfilt``, bit for bit."""
+
+    @pytest.mark.parametrize("order", [3, 4])
+    @pytest.mark.parametrize(
+        "shape", [(2400,), (6, 2400), (3, 6, 2400)], ids=["1d", "MN", "LMN"]
+    )
+    def test_bitwise_equal_to_sosfiltfilt(self, order, shape):
+        x = np.random.default_rng(order).standard_normal(shape)
+        nyquist = 48_000.0 / 2.0
+        sos = sp_signal.butter(
+            order,
+            [2000.0 / nyquist, 3000.0 / nyquist],
+            btype="bandpass",
+            output="sos",
+        )
+        reference = sp_signal.sosfiltfilt(sos, x, axis=-1)
+        bp = BandpassFilter(order=order)
+        out = bp.apply(x)
+        assert out.shape == reference.shape
+        assert np.array_equal(out, reference)
+        # Repeated calls reuse the cached steady state without drift.
+        assert np.array_equal(bp.apply(x), reference)
+
+    def test_shortest_signal_matches_and_one_less_raises(self):
+        bp = BandpassFilter()
+        # sosfiltfilt's default padlen; a band-pass of order n has n
+        # second-order sections.
+        padlen = 3 * (2 * bp.order + 1)
+        x = np.random.default_rng(0).standard_normal(padlen + 1)
+        sos = butter_bandpass(2000, 3000, 48_000, order=bp.order)
+        assert np.array_equal(bp.apply(x), sp_signal.sosfiltfilt(sos, x))
+        with pytest.raises(ValueError, match="too short"):
+            bp.apply(x[:padlen])
 
 
 class TestApplication:
