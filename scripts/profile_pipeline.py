@@ -4,21 +4,18 @@ Enrolls one synthetic user, authenticates a fresh attempt, and prints:
 
 1. the per-attempt span tree (``AuthenticationResult.trace``),
 2. the aggregated stage-latency table over every pipeline invocation,
-3. a cache-on vs cache-off comparison of repeated-beep imaging — the
-   steering-geometry cache that PR 1 landed (grid angles/ranges memoized
-   on the plane, per-band steering matrices reused across beeps),
-4. a batched vs sequential imaging comparison — ``image_batch``
+3. a batched vs sequential imaging comparison — ``image_batch``
    (one stacked filter-bank front end per sub-band, the serving
    layer's path) against the paper-shaped per-beep loop; both run the
-   same per-beep window-covariance energy kernel.  Both are called
+   same per-beep steering-table energy kernel.  Both are called
    without ranging's captures, so each band-passes for itself; inside
    the pipeline both reuse the captures ranging made, so at
    ``subbands = 1`` neither filters and they differ only in spans,
-5. a metrics-on vs metrics-off comparison of ``authenticate`` — the
-   overhead of the PR 2 metrics registry and drift monitors, which must
+4. a metrics-on vs metrics-off comparison of ``authenticate`` — the
+   overhead of the metrics registry and drift monitors, which must
    stay well under 5% of the pipeline wall time.
 
-The numbers printed by steps 3-5 are the source of the
+The numbers printed by steps 3-4 are the source of the
 performance-baseline table in EXPERIMENTS.md.  ``--quick`` runs only
 the batched-imaging smoke (bitwise parity + at-least-as-fast, the two
 paths alternating within each repeat so CPU drift hits both) and exits
@@ -68,7 +65,7 @@ def parse_args() -> argparse.Namespace:
     )
     parser.add_argument(
         "--repeats", type=int, default=3,
-        help="timing repeats for the cache comparison (default 3)",
+        help="timing repeats for the comparisons (default 3)",
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -92,25 +89,13 @@ def image_once(
         resolution=plane.resolution,
         center_z_m=plane.center_z_m,
     )
-    imager._steering_plane = None
-    imager._steering_by_band = {}
-    imager._gather_key = None
-    imager._gather = None
+    imager._kernel_key = None  # rebuild the gather and steering tables
     started = time.perf_counter()
     if batched:
         imager.image_batch(recordings, fresh_plane)
     else:
         imager.images(recordings, fresh_plane)
     return time.perf_counter() - started
-
-
-def time_imaging(
-    imager: AcousticImager, recordings, plane, repeats: int
-) -> float:
-    """Best-of-``repeats`` wall time of imaging all recordings once."""
-    return min(
-        image_once(imager, recordings, plane) for _ in range(repeats)
-    )
 
 
 def time_sequential_vs_batched(
@@ -223,42 +208,13 @@ def main() -> int:
     print()
     print(profiler.report(title="Aggregated stage latency (enroll + auth)"))
 
-    # --- steering-cache comparison --------------------------------------
-    plane = pipeline.imaging_plane(
-        result.distance.user_distance_m
-    )
-    cached = pipeline.imager
-    uncached = AcousticImager(
-        array=pipeline.array,
-        beep=config.beep,
-        config=config.imaging,
-        steering_cache=False,
-    )
-    cold = time_imaging(uncached, attempt, plane, args.repeats)
-    warm = time_imaging(cached, attempt, plane, args.repeats)
-    per_image_cold = cold / len(attempt) * 1e3
-    per_image_warm = warm / len(attempt) * 1e3
-    print()
-    print(
-        f"Steering-geometry cache, {len(attempt)}-beep attempt "
-        f"(best of {args.repeats}):"
-    )
-    print(
-        f"  cache off: {cold * 1e3:8.2f} ms total "
-        f"({per_image_cold:6.2f} ms/image)"
-    )
-    print(
-        f"  cache on:  {warm * 1e3:8.2f} ms total "
-        f"({per_image_warm:6.2f} ms/image)"
-    )
-    print(f"  speedup:   {cold / warm:8.2f}x")
-
     # --- batched vs sequential imaging -----------------------------------
-    # Both paths start from cold steering/gather caches each repeat, so
-    # the comparison isolates the batching itself: one filter-bank front
-    # end and steering set per attempt vs the per-beep loop.
+    plane = pipeline.imaging_plane(result.distance.user_distance_m)
+    # Both paths start from cold steering tables each repeat, so the
+    # comparison isolates the batching itself: one filter-bank front end
+    # per attempt vs the per-beep loop.
     loop_s, batch_s = time_sequential_vs_batched(
-        cached, attempt, plane, args.repeats
+        pipeline.imager, attempt, plane, args.repeats
     )
     print()
     print(

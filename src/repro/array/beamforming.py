@@ -6,9 +6,12 @@ model of Section III-C is used: a steering delay at the chirp's centre
 frequency is represented as a phase shift (Eq. 7), which is accurate because
 the probing beep occupies a 1 kHz band around 2.5 kHz.
 
-``weights_batch`` computes weights for many look directions at once; this is
-the hot path of the acoustic imager, which scans every grid of the imaging
-plane.
+Every beamformer is one Hermitian ``(M, M)`` weighting matrix ``P``
+(:attr:`Beamformer.weighting_matrix`) with weights
+``w(Omega) = P p(Omega) / (p(Omega)^H P p(Omega))``: ``P = rho_n^{-1}`` for
+MVDR, ``I`` for delay-and-sum and ``e_i e_i^H`` for the single microphone.
+``weights_batch`` evaluates that formula for many look directions at once;
+the acoustic imager needs only ``P`` (see :mod:`repro.core.imaging`).
 """
 
 from __future__ import annotations
@@ -30,32 +33,52 @@ class Beamformer(abc.ABC):
     array: MicrophoneArray
     frequency_hz: float
 
-    #: Whether the weights actually depend on the steering matrix; lets
-    #: callers skip precomputing steering for degenerate beamformers.
-    uses_steering: bool = True
-
+    @property
     @abc.abstractmethod
+    def weighting_matrix(self) -> np.ndarray:
+        """The Hermitian ``(M, M)`` matrix ``P`` of the weights.
+
+        Look direction ``Omega`` with steering vector ``p`` gets the
+        weights ``w = P p / (p^H P p)``, so a window covariance ``R``
+        yields the output energy
+        ``w^H R w = p^H (P R P) p / (p^H P p)^2``: two Hermitian
+        quadratic forms of ``p``, which is how the acoustic imager
+        evaluates every grid without forming ``w``.
+        """
+
     def weights_batch(
         self,
         azimuths_rad: np.ndarray,
         elevations_rad: np.ndarray,
         steering: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Complex weight vectors for a batch of look directions.
+        """Complex weight vectors ``P p / (p^H P p)`` for many directions.
 
         Args:
             azimuths_rad: Shape ``(K,)``.
             elevations_rad: Shape ``(K,)``.
             steering: Optional precomputed steering matrix ``(K, M)`` for
                 exactly these look directions at :attr:`frequency_hz`, as
-                returned by :meth:`steering_batch`.  Callers that steer
-                the same grid repeatedly (the acoustic imager scanning
-                one plane for every beep) pass it to skip the steering
-                trigonometry; when omitted it is computed internally.
+                returned by :meth:`steering_batch`; computed internally
+                when omitted.
 
         Returns:
             Complex array of shape ``(K, M)``.
+
+        Raises:
+            ValueError: When some ``p^H P p`` is not positive, i.e.
+                ``P`` is not positive definite.
         """
+        if steering is None:
+            steering = self.steering_batch(azimuths_rad, elevations_rad)
+        numerator = steering @ self.weighting_matrix.T  # rows P p: (K, M)
+        denominator = np.einsum("km,km->k", steering.conj(), numerator)
+        if np.any(np.real(denominator) <= 0):
+            raise ValueError(
+                "beamformer denominator non-positive; the weighting "
+                "matrix is not positive definite"
+            )
+        return numerator / denominator[:, None]
 
     def steering_batch(
         self, azimuths_rad: np.ndarray, elevations_rad: np.ndarray
@@ -65,8 +88,8 @@ class Beamformer(abc.ABC):
         Cache-friendly companion of :meth:`weights_batch`: the returned
         ``(K, M)`` matrix depends only on the array geometry, the look
         directions and :attr:`frequency_hz`, so it can be computed once
-        per imaging plane and replayed across recordings via the
-        ``steering=`` argument.
+        and replayed across weight computations via the ``steering=``
+        argument.
         """
         return steering_vectors(
             self.array,
@@ -192,31 +215,10 @@ class MVDRBeamformer(Beamformer):
         cov = diagonal_loading(cov, self.loading)
         self._inv_cov = np.linalg.inv(cov)
 
-    def weights_batch(
-        self,
-        azimuths_rad: np.ndarray,
-        elevations_rad: np.ndarray,
-        steering: np.ndarray | None = None,
-    ) -> np.ndarray:
-        if steering is not None:
-            steer = steering  # (K, M), precomputed for these directions
-        else:
-            steer = steering_vectors(
-                self.array,
-                azimuths_rad,
-                elevations_rad,
-                self.frequency_hz,
-                self.speed_of_sound,
-            )  # (K, M)
-        numerator = steer @ self._inv_cov.T  # rho^{-1} p_s, batched: (K, M)
-        denominator = np.einsum("km,km->k", steer.conj(), numerator)
-        denom_real = np.real(denominator)
-        if np.any(denom_real <= 0):
-            raise ValueError(
-                "MVDR denominator non-positive; noise covariance is not "
-                "positive definite"
-            )
-        return numerator / denominator[:, None]
+    @property
+    def weighting_matrix(self) -> np.ndarray:
+        """``rho_n^{-1}``, the inverse of the loaded noise covariance."""
+        return self._inv_cov
 
 
 @dataclass
@@ -233,21 +235,10 @@ class DelayAndSumBeamformer(Beamformer):
     frequency_hz: float = constants.CHIRP_CENTER_HZ
     speed_of_sound: float = constants.SPEED_OF_SOUND
 
-    def weights_batch(
-        self,
-        azimuths_rad: np.ndarray,
-        elevations_rad: np.ndarray,
-        steering: np.ndarray | None = None,
-    ) -> np.ndarray:
-        if steering is None:
-            steering = steering_vectors(
-                self.array,
-                azimuths_rad,
-                elevations_rad,
-                self.frequency_hz,
-                self.speed_of_sound,
-            )
-        return steering / self.array.num_mics
+    @property
+    def weighting_matrix(self) -> np.ndarray:
+        """The identity: ``w = p / (p^H p) = p / M``."""
+        return np.eye(self.array.num_mics, dtype=complex)
 
 
 @dataclass
@@ -266,7 +257,6 @@ class SingleMicrophone(Beamformer):
     array: MicrophoneArray
     mic_index: int = 0
     frequency_hz: float = constants.CHIRP_CENTER_HZ
-    uses_steering = False
 
     def __post_init__(self) -> None:
         if not 0 <= self.mic_index < self.array.num_mics:
@@ -275,12 +265,21 @@ class SingleMicrophone(Beamformer):
                 f"{self.array.num_mics} microphones"
             )
 
+    @property
+    def weighting_matrix(self) -> np.ndarray:
+        """``e_i e_i^H``: the projector onto microphone ``mic_index``."""
+        weighting = np.zeros((self.array.num_mics,) * 2, dtype=complex)
+        weighting[self.mic_index, self.mic_index] = 1.0
+        return weighting
+
     def weights_batch(
         self,
         azimuths_rad: np.ndarray,
         elevations_rad: np.ndarray,
         steering: np.ndarray | None = None,
     ) -> np.ndarray:
+        # ``P p / (p^H P p) = e_i / conj(p_i)``: the unit vector up to a
+        # unit-modulus phase, which no output power depends on.
         azimuths_rad = np.asarray(azimuths_rad).ravel()
         weights = np.zeros(
             (azimuths_rad.size, self.array.num_mics), dtype=complex

@@ -506,7 +506,7 @@ def _bench_image(ctx: BenchContext):
     imager = ctx.pipeline().imager
     plane = ctx.plane()
     recording = ctx.attempt()[0]
-    imager.image(recording, plane)  # warm the steering-geometry cache
+    imager.image(recording, plane)  # build the plane's steering table
 
     return lambda: imager.image(recording, plane)
 

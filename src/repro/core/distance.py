@@ -103,7 +103,8 @@ class DistanceEstimator:
         beep: Probing-signal parameters (defines the matched template and
             the band-pass corner frequencies).
         config: Estimator parameters (steering angles, peak search).
-        speed_of_sound: Speed of sound in m/s.
+        speed_of_sound: Speed of sound in m/s; turns echo delays into
+            distances and steers the default MVDR beamformer.
         beamformer_factory: Optional override producing the beamformer from
             ``(array, noise_covariance)`` — used by the ablation benches to
             swap MVDR for delay-and-sum or a single microphone.
@@ -145,6 +146,7 @@ class DistanceEstimator:
                 array=arr,
                 frequency_hz=self.beep.center_hz,
                 noise_covariance=cov,
+                speed_of_sound=self.speed_of_sound,
             )
         )
         self._bandpass = BandpassFilter(

@@ -15,21 +15,22 @@ segment whose round-trip delay matches the grid's range
 extracted, and the pixel value is the segment's L2 norm — the energy of
 echoes arriving *from that direction at that range*, which is what
 separates body echoes from same-direction clutter at other ranges.  The
-norms are computed from the covariance of each distinct segment window
-(``_window_energies``); the beamformed segments are never formed.
+norms are computed from the covariance of each distinct segment window and
+a per-plane table of each grid's steering products (``_table_energies``);
+neither the beamformer weights nor the beamformed segments are formed.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.array.beamforming import Beamformer, MVDRBeamformer
+from repro.array.beamforming import MVDRBeamformer
 from repro.array.covariance import estimate_noise_covariance
 from repro.array.geometry import MicrophoneArray
+from repro.array.steering import steering_vectors
 from repro.acoustics.scene import BeepRecording
 from repro.config import BeepConfig, ImagingConfig
 from repro.core.telemetry import pipeline_metrics
@@ -160,16 +161,12 @@ class AcousticImager:
         array: The microphone array.
         beep: Probing-signal parameters.
         config: Imaging parameters (plane size, resolution, safeguard).
-        speed_of_sound: Speed of sound in m/s.
+        speed_of_sound: Speed of sound in m/s; sets the segment delays,
+            the steering phases and the default MVDR beamformer's.
         beamformer_factory: Optional override producing the beamformer from
-            ``(array, noise_covariance)`` for the ablation benches.
-        steering_cache: Reuse the per-band steering matrices across the
-            beeps imaged on one plane (default on).  The steering
-            geometry depends only on ``(plane, sub-band)`` — not on the
-            recording — so recomputing it for every beep × sub-band is
-            pure waste; see ``scripts/profile_pipeline.py`` for the
-            measured effect.  Disable only to benchmark the uncached
-            path or when a custom beamformer's steering varies per call.
+            ``(array, noise_covariance)`` for the ablation benches.  Only
+            its :attr:`~repro.array.beamforming.Beamformer.weighting_matrix`
+            is used; the imager steers every grid itself.
 
     Example::
 
@@ -182,10 +179,10 @@ class AcousticImager:
         image.shape            # (plane.resolution, plane.resolution)
 
     Each call records an ``imaging.image`` span (one ``imaging.band``
-    child per sub-band, with a ``steering_cached`` attribute) into the
-    ambient :mod:`repro.obs` trace.  When imaging the L beeps of one
-    attempt (``imager.images(recordings, plane)``), the first beep warms
-    the steering cache and the rest reuse it.
+    child per sub-band, with a ``table_cached`` attribute) into the
+    ambient :mod:`repro.obs` trace.  The first beep imaged on a plane
+    builds its steering tables and later beeps on it reuse them, so
+    share one imager per worker, not across threads.
     """
 
     def __init__(
@@ -195,24 +192,22 @@ class AcousticImager:
         config: ImagingConfig | None = None,
         speed_of_sound: float = 343.0,
         beamformer_factory=None,
-        steering_cache: bool = True,
     ) -> None:
         self.array = array
         self.beep = beep or BeepConfig()
         self.config = config or ImagingConfig()
         self.speed_of_sound = speed_of_sound
-        self.steering_cache_enabled = steering_cache
-        self._steering_plane: ImagingPlane | None = None
-        self._steering_by_band: dict[int, np.ndarray] = {}
-        self._gather_key: tuple | None = None
+        self._kernel_key: tuple | None = None
         self._gather: _SegmentGather | None = None
-        self._scratch: dict[tuple, np.ndarray] = {}
+        self._tables: dict[int, np.ndarray] = {}
+        self._pack_index = _hermitian_pack_index(array.num_mics)
         self._beamformer_factory = beamformer_factory or (
             lambda arr, cov: MVDRBeamformer(
                 array=arr,
                 frequency_hz=self.beep.center_hz,
                 noise_covariance=cov,
                 loading=self.config.diagonal_loading,
+                speed_of_sound=self.speed_of_sound,
             )
         )
         self._subband_edges = np.linspace(
@@ -284,39 +279,6 @@ class AcousticImager:
         ]  # subbands x (L, K)
         return np.sqrt(np.mean(energies, axis=0))
 
-    def _band_steering(
-        self,
-        beamformer: Beamformer,
-        plane: ImagingPlane,
-        band_index: int,
-    ) -> tuple[np.ndarray | None, bool]:
-        """The (possibly cached) steering matrix for one plane sub-band.
-
-        Returns:
-            ``(steering, was_cached)`` — ``steering`` is ``None`` when the
-            cache is disabled or the beamformer does not accept a
-            precomputed steering matrix.
-        """
-        if not self.steering_cache_enabled:
-            return None, False
-        if not getattr(beamformer, "uses_steering", True):
-            return None, False
-        if not hasattr(beamformer, "steering_batch") or not _accepts_steering(
-            beamformer
-        ):
-            return None, False
-        if self._steering_plane != plane:
-            # New plane (new attempt): the old grid geometry is dead.
-            self._steering_plane = plane
-            self._steering_by_band = {}
-        cached = self._steering_by_band.get(band_index)
-        if cached is not None:
-            return cached, True
-        theta, phi = plane.grid_angles()
-        steer = beamformer.steering_batch(theta, phi)
-        self._steering_by_band[band_index] = steer
-        return steer, False
-
     def _beep_energies(
         self,
         analytic: np.ndarray,
@@ -328,48 +290,70 @@ class AcousticImager:
 
         ``analytic`` is the beep's band-passed analytic capture
         ``(M, N)``; its pre-emission samples give the noise covariance
-        of the ``(K, M)`` MVDR weights.  :meth:`image` and
-        :meth:`image_batch` both call this once per beep with identical
-        operands (an analytic row is bitwise the same whether its beep
-        was filtered alone, in a stack, or by ranging), which is what
-        keeps their outputs bit-identical.
+        of the beamformer whose weighting matrix ``P`` the energies use.
+        :meth:`image` and :meth:`image_batch` both call this once per
+        beep with identical operands (an analytic row is bitwise the same
+        whether its beep was filtered alone, in a stack, or by ranging),
+        which is what keeps their outputs bit-identical.
 
-        Returns ``(energies, steering_was_cached)``.
+        Returns ``(energies, table_was_cached)``.
         """
         noise_cov = estimate_noise_covariance(
             analytic, noise_samples=recording.emit_index
         )
-        beamformer: Beamformer = self._beamformer_factory(
-            self.array, noise_cov
+        beamformer = self._beamformer_factory(self.array, noise_cov)
+        gather, table, was_cached = self._steering_table(
+            plane, recording, band_index
         )
-        # Steer at the sub-band centre frequency.
-        edges = self._subband_edges
-        beamformer.frequency_hz = (
-            edges[band_index] + edges[band_index + 1]
-        ) / 2.0
-        theta, phi = plane.grid_angles()
-        steering, was_cached = self._band_steering(
-            beamformer, plane, band_index
-        )
-        if steering is not None:
-            weights = beamformer.weights_batch(theta, phi, steering=steering)
-        else:
-            weights = beamformer.weights_batch(theta, phi)
-        gather = self._segment_gather(
-            plane,
-            sample_rate=recording.sample_rate,
-            emit_index=recording.emit_index,
-            num_samples=recording.num_samples,
-        )
-        num_mics = recording.num_mics
-        energies = _window_energies(
-            analytic,
-            weights,
+        energies = _table_energies(
+            beamformer.weighting_matrix,
+            _window_covariances(analytic, gather),
+            table,
             gather,
-            self._scratch_buffer("weights", plane.num_grids, num_mics),
-            self._scratch_buffer("projected", plane.num_grids, num_mics),
+            self._pack_index,
         )
         return energies, was_cached
+
+    def _steering_table(
+        self,
+        plane: ImagingPlane,
+        recording: BeepRecording,
+        band_index: int,
+    ) -> tuple["_SegmentGather", np.ndarray, bool]:
+        """The plane's segment gather and one sub-band's steering table.
+
+        Both depend only on the plane, the capture geometry and the
+        sub-band, not on the samples, so the first beep imaged on a plane
+        builds them and a new plane drops them.  The table's columns
+        follow the gather's window order.
+
+        Returns ``(gather, table, table_was_cached)``.
+        """
+        key = (
+            plane,
+            recording.sample_rate,
+            recording.emit_index,
+            recording.num_samples,
+        )
+        if self._kernel_key != key:
+            # Free the old plane's tables before building the new ones.
+            self._kernel_key, self._gather, self._tables = None, None, {}
+            self._gather = self._segment_gather(plane, *key[1:])
+            self._kernel_key = key
+        gather = self._gather
+        table = self._tables.get(band_index)
+        if table is not None:
+            return gather, table, True
+        edges = self._subband_edges
+        table = _steering_products(
+            self.array,
+            *plane.grid_angles(),
+            gather.order,
+            (edges[band_index] + edges[band_index + 1]) / 2.0,
+            self.speed_of_sound,
+        )
+        self._tables[band_index] = table
+        return gather, table, False
 
     def _segment_gather(
         self,
@@ -387,13 +371,8 @@ class AcousticImager:
         windows (~230 for the paper's 180x180 plane); grouping the grids
         by window start lets the energy kernel form one ``(M, M)``
         covariance per *window* instead of beamforming a ``(K, S)``
-        segment tensor.  The grouping depends only on the plane and the
-        capture geometry — not on the samples — so it is cached and
-        replayed for every beep and sub-band of an attempt.
+        segment tensor.
         """
-        key = (plane, sample_rate, emit_index, num_samples)
-        if self._gather_key == key and self._gather is not None:
-            return self._gather
         ranges = plane.grid_ranges()
         delays = 2.0 * ranges / self.speed_of_sound
         centers = emit_index + np.round(delays * sample_rate).astype(int)
@@ -415,38 +394,12 @@ class AcousticImager:
         window_starts = sorted_starts[firsts]
         order.setflags(write=False)
         window_starts.setflags(write=False)
-        gather = _SegmentGather(
+        return _SegmentGather(
             order=order,
             starts=window_starts,
             groups=tuple(zip(bounds[:-1], bounds[1:])),
             length=length,
         )
-        self._gather_key = key
-        self._gather = gather
-        return gather
-
-    def _scratch_buffer(self, role: str, *shape: int) -> np.ndarray:
-        """A reusable complex work buffer of the requested shape.
-
-        The kernel's ``(K, M)`` buffers (conjugated weights in window
-        order, and their products with the window covariances) reach
-        3 MB each on the paper's 180x180 plane, large enough that a fresh
-        ``np.empty`` per beep lands in ``mmap``-ed memory and pays kernel
-        page-fault cost on every write; reusing one buffer per (role,
-        shape) keeps the pages warm.  ``role``
-        separates buffers that are live at the same time.  Callers fully
-        overwrite the buffer before reading it.  (Like the steering
-        cache, this makes the imager stateful — share one imager per
-        worker, not across threads.)
-        """
-        key = (role, *shape)
-        buffer = self._scratch.get(key)
-        if buffer is None:
-            if len(self._scratch) >= 4:  # bound memory across shapes
-                self._scratch.pop(next(iter(self._scratch)))
-            buffer = np.empty(shape, dtype=complex)
-            self._scratch[key] = buffer
-        return buffer
 
     def images(
         self,
@@ -456,8 +409,8 @@ class AcousticImager:
     ) -> list[np.ndarray]:
         """One acoustic image per beep capture.
 
-        The first beep warms the per-band steering cache for ``plane``;
-        every subsequent beep reuses it (see ``steering_cache``).
+        The first beep builds the plane's steering tables; every
+        subsequent beep reuses them.
 
         ``captures`` are the attempt's band-passed analytic captures
         from ranging
@@ -485,14 +438,12 @@ class AcousticImager:
         per-beep front end — band-pass filtering and the Hilbert
         transform — is evaluated once on the stacked ``(L, M, N)``
         capture per sub-band (or taken from ``captures``, as in
-        :meth:`images`), and the per-band steering matrices are computed
-        once and replayed (the cache the sequential path only warms after
-        the first beep).  The MVDR weights and segment energies then go
-        through the same per-beep kernel as :meth:`image`, so the output
-        matches the sequential path bit-for-bit by construction (the
-        golden harness under ``tests/golden`` enforces ≤1e-10 drift as a
-        safety net), and the batch holds no per-beep working memory
-        beyond one ``(K,)`` energy row per beep.
+        :meth:`images`).  The segment energies then go through the same
+        per-beep kernel as :meth:`image`, so the output matches the
+        sequential path bit-for-bit by construction (the golden harness
+        under ``tests/golden`` enforces ≤1e-10 drift as a safety net),
+        and the batch holds no per-beep working memory beyond one
+        ``(K,)`` energy row per beep.
 
         Captures of different shapes or sample rates are filtered beep
         by beep.  A single recording goes through :meth:`images`, and an
@@ -559,7 +510,7 @@ class AcousticImager:
                     analytic, recording, plane, band_index
                 )
                 any_cached = any_cached or was_cached
-            span.set("steering_cached", any_cached)
+            span.set("table_cached", any_cached)
             metrics = pipeline_metrics()
             if metrics is not None:
                 # The gauge holds the band energy of the last beep imaged.
@@ -588,69 +539,120 @@ class _SegmentGather:
     length: int
 
 
-def _window_energies(
-    analytic: np.ndarray,
-    weights: np.ndarray,
+def _hermitian_pack_index(num_mics: int) -> np.ndarray:
+    """Index into the float view of a flattened Hermitian ``(M, M)``
+    matrix ``Q`` picking its ``M^2`` reals: ``Re Q_mm`` for every m, then
+    ``Re Q_ij`` and ``Im Q_ij`` for every ``i < j``."""
+    upper_i, upper_j = np.triu_indices(num_mics, 1)
+    upper = 2 * (upper_i * num_mics + upper_j)
+    index = np.concatenate(
+        [2 * (num_mics + 1) * np.arange(num_mics), upper, upper + 1]
+    )
+    index.setflags(write=False)
+    return index
+
+
+def _steering_products(
+    array: MicrophoneArray,
+    azimuths_rad: np.ndarray,
+    elevations_rad: np.ndarray,
+    order: np.ndarray,
+    frequency_hz: float,
+    speed_of_sound: float,
+) -> np.ndarray:
+    """Read-only ``(M^2, K)`` table of steering products.
+
+    Column k holds, for the steering vector ``a`` of direction
+    ``order[k]``, ``|a_m|^2`` for every m, then ``2 Re(conj(a_i) a_j)``
+    and ``-2 Im(conj(a_i) a_j)`` for every ``i < j``, so that
+    ``a^H Q a = q @ table[:, k]`` for a Hermitian ``Q`` packed into ``q``
+    by :func:`_hermitian_pack_index`.  Directions are steered a block at
+    a time, so the table is the only ``O(K M^2)`` allocation.
+    """
+    num_mics = array.num_mics
+    num_pairs = num_mics * (num_mics - 1) // 2
+    table = np.empty((num_mics**2, order.size))
+    for begin in range(0, order.size, _TABLE_BLOCK):
+        block = slice(begin, begin + _TABLE_BLOCK)
+        directions = order[block]
+        steering = np.ascontiguousarray(
+            steering_vectors(
+                array,
+                azimuths_rad[directions],
+                elevations_rad[directions],
+                frequency_hz,
+                speed_of_sound,
+            ).T
+        )  # (M, n)
+        rows = table[:, block]
+        np.square(np.abs(steering), out=rows[:num_mics])
+        # The pairs i < j in row-major order, one i at a time.
+        first = num_mics
+        for i in range(num_mics - 1):
+            products = steering[i + 1 :] * steering[i].conj()
+            last = first + len(products)
+            np.multiply(products.real, 2.0, out=rows[first:last])
+            np.multiply(
+                products.imag,
+                -2.0,
+                out=rows[first + num_pairs : last + num_pairs],
+            )
+            first = last
+    table.setflags(write=False)
+    return table
+
+
+#: Directions steered at once while building a table (bounds its scratch).
+_TABLE_BLOCK = 4096
+
+
+def _window_covariances(
+    analytic: np.ndarray, gather: _SegmentGather
+) -> np.ndarray:
+    """Covariances ``R_g = X_g X_g^H`` of the G segment windows ``X_g``
+    of an ``(M, N)`` capture, shape ``(G, M, M)``."""
+    windows = sliding_window_view(analytic, gather.length, axis=-1)
+    segments = windows[:, gather.starts].transpose(1, 0, 2)  # (G, M, S)
+    return segments @ segments.conj().transpose(0, 2, 1)
+
+
+def _table_energies(
+    weighting: np.ndarray,
+    covariances: np.ndarray,
+    table: np.ndarray,
     gather: _SegmentGather,
-    conj_weights: np.ndarray,
-    projected: np.ndarray,
+    pack_index: np.ndarray,
 ) -> np.ndarray:
     """Beamformed segment energies per grid, shape ``(K,)``.
 
-    Grid k's pixel energy is the squared L2 norm of its beamformed
-    segment, ``||w_k^H X_g||^2 = Re(w_k^H R_g w_k)`` with ``X_g`` the
-    ``(M, S)`` analytic window the grid shares with the rest of its
-    group and ``R_g = X_g X_g^H``.  So the kernel forms the G ``(M, M)``
-    window covariances in one batched matmul, then evaluates the
-    quadratic forms: one ``(n_g, M) @ (M, M)`` product per window into
-    the ``(K, M)`` buffer ``projected`` (rows ``w_k^H R_g``, in window
-    order), and one real reduction against the conjugated weights staged
-    in ``conj_weights``.  No ``(K, S)`` beamformed tensor exists.  The
-    quadratic form can round a hair below zero for a grid steered into
-    a null of its window, so energies are clamped at zero (``sqrt``
-    would make that a NaN pixel).
+    With weights ``w_k = P a_k / (a_k^H P a_k)`` (``P`` the beamformer's
+    weighting matrix), grid k's energy is the squared L2 norm of its
+    beamformed segment, ``||w_k^H X_g||^2 =
+    a_k^H (P^H R_g P) a_k / (a_k^H P a_k)^2`` with ``R_g = X_g X_g^H``
+    the covariance of the window the grid shares with its group.  Both
+    quadratic forms are dot products of ``M^2`` packed reals with the
+    grid's ``table`` column, so each window costs one
+    ``(2, M^2) @ (M^2, n_g)`` product and no weight is formed.  The
+    numerator can round a hair below zero for a grid steered into a null
+    of its window, so energies are clamped at zero (``sqrt`` would make
+    that a NaN pixel).
     """
-    windows = sliding_window_view(analytic, gather.length, axis=-1)
-    segments = windows[:, gather.starts].transpose(1, 0, 2)  # (G, M, S)
-    covariances = segments @ segments.conj().transpose(0, 2, 1)
-    # ``order`` is a permutation, so "clip" never clips; it only spares
-    # ``take`` the buffered copy its default mode makes into ``out``.
-    np.take(weights, gather.order, axis=0, out=conj_weights, mode="clip")
-    np.conjugate(conj_weights, out=conj_weights)
-    for covariance, (begin, end) in zip(covariances, gather.groups):
-        np.matmul(
-            conj_weights[begin:end], covariance, out=projected[begin:end]
+    weighting = np.asarray(weighting, dtype=complex)
+    forms = weighting.conj().T @ covariances @ weighting  # (G, M, M)
+    packed = np.empty((len(gather.groups), 2, pack_index.size))
+    packed[:, 0] = forms.reshape(len(forms), -1).view(float)[:, pack_index]
+    packed[:, 1] = weighting.reshape(-1).view(float)[pack_index]
+    products = np.empty((2, gather.order.size))
+    for pair, (begin, end) in zip(packed, gather.groups):
+        np.matmul(pair, table[:, begin:end], out=products[:, begin:end])
+    numerators, denominators = products
+    if np.any(denominators <= 0):
+        raise ValueError(
+            "beamformer denominator non-positive; the weighting matrix "
+            "is not positive definite"
         )
-    # Re(w_k^H R_g w_k) = Re(sum_m projected_km w_km); the float view of
-    # conj_weights interleaves (Re w, -Im w), so one real dot product per
-    # row of the interleaved float views is exactly that real part.
+    np.square(denominators, out=denominators)
+    np.divide(numerators, denominators, out=numerators)
     energies = np.empty(gather.order.size)
-    energies[gather.order] = np.einsum(
-        "kf,kf->k", projected.view(float), conj_weights.view(float)
-    )
+    energies[gather.order] = numerators
     return np.maximum(energies, 0.0, out=energies)
-
-
-_STEERING_SUPPORT: dict[type, bool] = {}
-
-
-def _accepts_steering(beamformer: Beamformer) -> bool:
-    """Whether ``weights_batch`` takes a precomputed ``steering=`` matrix.
-
-    Custom beamformers from older ``beamformer_factory`` overrides may
-    still use the two-argument signature; they silently fall back to the
-    uncached path instead of crashing.
-    """
-    kind = type(beamformer)
-    supported = _STEERING_SUPPORT.get(kind)
-    if supported is None:
-        try:
-            parameters = inspect.signature(kind.weights_batch).parameters
-            supported = "steering" in parameters or any(
-                p.kind is inspect.Parameter.VAR_KEYWORD
-                for p in parameters.values()
-            )
-        except (TypeError, ValueError):  # pragma: no cover - exotic callables
-            supported = False
-        _STEERING_SUPPORT[kind] = supported
-    return supported

@@ -101,11 +101,19 @@ class MiniVGGish:
         """
         if isinstance(images, np.ndarray) and images.ndim == 2:
             images = [images]
-        batch = np.stack([self.preprocess(np.asarray(im)) for im in images])
-        features = self.network(batch[:, None, :, :])
-        if features.shape[1] != self.feature_dim:
-            raise AssertionError(
-                f"feature dim {features.shape[1]} != expected "
-                f"{self.feature_dim}"
-            )
+        if len(images) == 0:
+            raise ValueError("need at least one image")
+        # One network call per image: each image already gets its own
+        # GEMMs, so the rows are bitwise those of a batched call, and no
+        # layer materialises the im2col of the whole batch.
+        features = np.empty((len(images), self.feature_dim))
+        for row, image in zip(features, images):
+            batch = self.preprocess(np.asarray(image))[None, None, :, :]
+            output = self.network(batch)
+            if output.shape != (1, self.feature_dim):
+                raise AssertionError(
+                    f"feature dim {output.shape[1]} != expected "
+                    f"{self.feature_dim}"
+                )
+            row[:] = output[0]
         return features

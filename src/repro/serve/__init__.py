@@ -8,10 +8,9 @@ worker pool instead of recomputed per worker.
 Three pieces:
 
 * :class:`ModelBundle` — picklable snapshot of an enrolled pipeline
-  (fitted SVDD/SVM with scaler state, drift baseline, warm steering
-  cache), persistable to disk via :meth:`ModelBundle.save` /
-  :meth:`ModelBundle.load` so a restarted service re-arms without
-  re-running enrollment;
+  (fitted SVDD/SVM with scaler state, drift baseline), persistable to
+  disk via :meth:`ModelBundle.save` / :meth:`ModelBundle.load` so a
+  restarted service re-arms without re-running enrollment;
 * :class:`BatchAuthenticator` — the worker-pool executor (``serial`` /
   ``thread`` / ``process`` backends via
   :class:`~repro.config.ServingConfig`), with per-batch timeout and a

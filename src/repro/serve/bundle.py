@@ -1,9 +1,9 @@
 """Read-only snapshot of an enrolled pipeline's model state.
 
 Workers in the serving pool must never recompute enrollment state: the
-fitted SVDD/SVM (with their scaler snapshots), the registration-time
-score baseline and the warm steering cache are captured once from an
-enrolled :class:`~repro.core.pipeline.EchoImagePipeline` into a
+fitted SVDD/SVM (with their scaler snapshots) and the registration-time
+score baseline are captured once from an enrolled
+:class:`~repro.core.pipeline.EchoImagePipeline` into a
 :class:`ModelBundle`, and every worker rebuilds a lightweight pipeline
 around that shared state.  The bundle is picklable (unlike the pipeline,
 whose beamformer factory is a closure), which is what lets the process
@@ -12,9 +12,7 @@ backend ship it to worker interpreters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from repro.array.geometry import MicrophoneArray
 from repro.config import EchoImageConfig
@@ -22,7 +20,6 @@ from repro.core.authenticator import (
     MultiUserAuthenticator,
     SingleUserAuthenticator,
 )
-from repro.core.imaging import ImagingPlane
 from repro.core.pipeline import EchoImagePipeline
 from repro.obs.drift import DriftBaseline
 
@@ -40,10 +37,12 @@ class ModelBundle:
         multi_auth: Fitted multi-user authenticator (or ``None``).
         score_baseline: Frozen registration-time ``auth.score``
             distribution for the drift monitors.
-        steering_plane: Plane whose steering matrices are cached.
-        steering_by_band: Warm per-sub-band steering matrices for
-            ``steering_plane`` (read-only arrays, shared across workers
-            of the thread backend).
+
+    A bundle pickled by an older version may carry two more attributes,
+    ``steering_plane`` and ``steering_by_band`` (a steering warm start
+    the imager no longer uses).  It still loads and serves: unpickling
+    keeps them, so :meth:`content_hash` is unchanged, and nothing reads
+    them.
     """
 
     config: EchoImageConfig
@@ -53,8 +52,6 @@ class ModelBundle:
     single_auth: SingleUserAuthenticator | None = None
     multi_auth: MultiUserAuthenticator | None = None
     score_baseline: DriftBaseline | None = None
-    steering_plane: ImagingPlane | None = None
-    steering_by_band: dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if (self.single_auth is None) == (self.multi_auth is None):
@@ -76,11 +73,6 @@ class ModelBundle:
                 "cannot bundle an un-enrolled pipeline; call enroll_user "
                 "or enroll_users first"
             )
-        steering_by_band = {}
-        for band, steering in pipeline.imager._steering_by_band.items():
-            steering = np.asarray(steering)
-            steering.setflags(write=False)
-            steering_by_band[band] = steering
         return cls(
             config=pipeline.config,
             array=pipeline.array,
@@ -89,8 +81,6 @@ class ModelBundle:
             single_auth=single,
             multi_auth=multi,
             score_baseline=pipeline.drift.monitor("auth.score").baseline,
-            steering_plane=pipeline.imager._steering_plane,
-            steering_by_band=steering_by_band,
         )
 
     def save(self, path) -> "ModelBundle":
@@ -168,9 +158,8 @@ class ModelBundle:
             scaler snapshots) are shared, not copied; they are read-only
             at decision time.
         """
-        effective = config or self.config
         pipeline = EchoImagePipeline(
-            config=effective,
+            config=config or self.config,
             array=self.array,
             speed_of_sound=self.speed_of_sound,
             feature_mode=self.feature_mode,
@@ -181,13 +170,4 @@ class ModelBundle:
             multi_auth=self.multi_auth,
             score_baseline=self.score_baseline,
         )
-        if (
-            self.steering_plane is not None
-            and effective.imaging == self.config.imaging
-        ):
-            # Warm start: replay the enrolled plane's steering matrices
-            # so a worker's first request skips the steering trigonometry
-            # when it lands on the same (snapped) plane.
-            pipeline.imager._steering_plane = self.steering_plane
-            pipeline.imager._steering_by_band = dict(self.steering_by_band)
         return pipeline

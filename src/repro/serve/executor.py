@@ -10,8 +10,8 @@ backends share the same worker logic:
     the reference the golden harness compares against.
 ``thread``
     A :class:`~concurrent.futures.ThreadPoolExecutor`.  Workers share
-    the model bundle zero-copy (fitted SVDD/SVM, steering caches), so
-    results are bit-identical to the serial path.  NumPy releases the
+    the model bundle zero-copy (fitted SVDD/SVM), so results are
+    bit-identical to the serial path.  NumPy releases the
     GIL inside the imaging GEMMs, which is where attempts spend most of
     their time.
 ``process``
@@ -111,10 +111,10 @@ class _WorkerRuntime:
     """Per-worker pipelines plus the degradation walk.
 
     One runtime belongs to exactly one worker (thread or process): the
-    imager's scratch buffers make pipelines thread-unsafe, so runtimes
-    are never shared.  Pipelines are built lazily per degradation step
-    and reused across requests, keeping enrollment state shared (through
-    the bundle) and steering caches warm.
+    imager's per-plane steering tables make pipelines thread-unsafe, so
+    runtimes are never shared.  Pipelines are built lazily per
+    degradation step and reused across requests, keeping enrollment
+    state shared (through the bundle).
     """
 
     def __init__(

@@ -150,3 +150,46 @@ class TestSingleMicrophone:
         w = single.weights_batch(np.zeros(2), np.ones(2))
         assert np.allclose(np.abs(w).sum(axis=1), 1.0)
         assert np.allclose(w[:, index], 1.0)
+
+
+class TestWeightingMatrix:
+    """Every beamformer's weights are ``P p / (p^H P p)`` for its ``P``."""
+
+    @staticmethod
+    def _beamformers(array, rng):
+        for _ in range(3):
+            raw = rng.standard_normal((6, 6)) + 1j * rng.standard_normal(
+                (6, 6)
+            )
+            cov = raw @ raw.conj().T / 6 + 0.1 * np.eye(6)
+            cov /= np.real(np.trace(cov)) / 6
+            yield MVDRBeamformer(array=array, noise_covariance=cov)
+        yield DelayAndSumBeamformer(array=array)
+        for index in (0, 4):
+            yield SingleMicrophone(array=array, mic_index=index)
+
+    def test_weights_follow_from_weighting_matrix(self):
+        array = respeaker_array()
+        rng = np.random.default_rng(7)
+        azimuths = rng.uniform(0.0, 2 * np.pi, 200)
+        elevations = rng.uniform(0.0, np.pi, 200)
+        for beamformer in self._beamformers(array, rng):
+            weighting = beamformer.weighting_matrix
+            np.testing.assert_allclose(
+                weighting, weighting.conj().T, rtol=0.0, atol=1e-12
+            )
+            steering = beamformer.steering_batch(azimuths, elevations)
+            projected = steering @ weighting.T  # rows P p
+            derived = projected / np.einsum(
+                "km,km->k", steering.conj(), projected
+            )[:, None]
+            if isinstance(beamformer, SingleMicrophone):
+                # e_i / conj(p_i): the unit vector up to a unit-modulus
+                # phase per direction, which no output power sees.
+                derived *= steering[:, [beamformer.mic_index]].conj()
+            np.testing.assert_allclose(
+                derived,
+                beamformer.weights_batch(azimuths, elevations),
+                rtol=0.0,
+                atol=1e-12,
+            )

@@ -14,13 +14,17 @@ from repro.array.beamforming import (
     SingleMicrophone,
 )
 from repro.array.covariance import estimate_noise_covariance
-from repro.config import ImagingConfig
+from repro.config import EchoImageConfig, ImagingConfig
 from repro.core.imaging import (
     AcousticImager,
     ImagingPlane,
+    _hermitian_pack_index,
     _SegmentGather,
-    _window_energies,
+    _steering_products,
+    _table_energies,
+    _window_covariances,
 )
+from repro.core.pipeline import EchoImagePipeline
 from repro.signal.analytic import analytic_signal
 
 
@@ -178,7 +182,7 @@ class TestAcousticImager:
 
 
 class TestSteeringCache:
-    """The steering-geometry cache must never change the images."""
+    """The per-plane steering tables must never change the images."""
 
     def _recordings(self, scene, chirp, rng, num_beeps=3):
         body = ReflectorCloud(
@@ -194,10 +198,12 @@ class TestSteeringCache:
         plane = ImagingPlane(distance_m=0.7, resolution=16)
         config = ImagingConfig(grid_resolution=16, subbands=2)
         cached = AcousticImager(array, config=config).images(recs, plane)
-        uncached = AcousticImager(
-            array, config=config, steering_cache=False
-        ).images(recs, plane)
-        for a, b in zip(cached, uncached):
+        # Every beep imaged by a fresh imager builds its own tables.
+        cold = [
+            AcousticImager(array, config=config).image(rec, plane)
+            for rec in recs
+        ]
+        for a, b in zip(cached, cold):
             np.testing.assert_array_equal(a, b)
 
     def test_cache_reused_across_beeps_and_reset_on_new_plane(
@@ -207,19 +213,16 @@ class TestSteeringCache:
         imager = AcousticImager(array)
         plane = ImagingPlane(distance_m=0.7, resolution=12)
         imager.images(recs, plane)
-        assert imager._steering_plane == plane
-        first = {k: v for k, v in imager._steering_by_band.items()}
+        assert imager._kernel_key[0] == plane
+        first = dict(imager._tables)
+        assert first
         imager.image(recs[0], plane)
-        # Same plane: the very same steering arrays are reused.
-        assert all(
-            imager._steering_by_band[k] is v for k, v in first.items()
-        )
+        # Same plane: the very same tables are reused.
+        assert all(imager._tables[k] is v for k, v in first.items())
         other = ImagingPlane(distance_m=1.1, resolution=12)
         imager.image(recs[0], other)
-        assert imager._steering_plane == other
-        assert all(
-            imager._steering_by_band[k] is not v for k, v in first.items()
-        )
+        assert imager._kernel_key[0] == other
+        assert all(imager._tables[k] is not v for k, v in first.items())
 
     def test_equal_plane_instances_share_cache(
         self, array, silent_scene, chirp, rng
@@ -227,12 +230,10 @@ class TestSteeringCache:
         recs = self._recordings(silent_scene, chirp, rng, num_beeps=1)
         imager = AcousticImager(array)
         imager.image(recs[0], ImagingPlane(distance_m=0.7, resolution=12))
-        first = dict(imager._steering_by_band)
+        first = dict(imager._tables)
         # A distinct but equal frozen plane must not invalidate the cache.
         imager.image(recs[0], ImagingPlane(distance_m=0.7, resolution=12))
-        assert all(
-            imager._steering_by_band[k] is v for k, v in first.items()
-        )
+        assert all(imager._tables[k] is v for k, v in first.items())
 
     def test_geometry_memo_is_per_instance_and_read_only(self):
         plane = ImagingPlane(distance_m=0.7, resolution=8)
@@ -315,30 +316,37 @@ class TestEnergyKernel:
         )
         assert np.max(np.abs(image - reference)) <= 1e-12 * reference.max()
 
-    def test_energies_non_negative_in_a_null(self):
-        # A rank-1 window X = u s^T and weights orthogonal to u: every
-        # quadratic form w^H (X X^H) w is exactly zero, and rounding puts
-        # about half of them a hair below it without the clamp.
+    def test_energies_non_negative_in_a_null(self, array):
+        # A rank-1 window X = u s^T and a weighting matrix P that projects
+        # u out: every numerator a^H (P R P) a is exactly zero, and
+        # rounding puts about half of them a hair below it without the
+        # clamp.
         rng = np.random.default_rng(5)
-        num_mics, num_grids, length = 6, 2000, 29
+        num_mics, num_grids, length = array.num_mics, 2000, 29
         u = rng.standard_normal(num_mics) + 1j * rng.standard_normal(num_mics)
         s = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         analytic = u[:, None] * s[None, :]
-        shape = (num_grids, num_mics)
-        weights = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        weights -= np.outer(weights @ u.conj() / np.vdot(u, u), u)
+        weighting = np.eye(num_mics) - np.outer(u, u.conj()) / np.vdot(u, u)
         gather = _SegmentGather(
             order=rng.permutation(num_grids),
             starts=np.array([3, 30]),
             groups=((0, 1000), (1000, num_grids)),
             length=length,
         )
-        energies = _window_energies(
-            analytic,
-            weights,
+        table = _steering_products(
+            array,
+            rng.uniform(0.0, 2 * np.pi, num_grids),
+            rng.uniform(0.0, np.pi, num_grids),
+            gather.order,
+            2500.0,
+            343.0,
+        )
+        energies = _table_energies(
+            weighting,
+            _window_covariances(analytic, gather),
+            table,
             gather,
-            np.empty((num_grids, num_mics), dtype=complex),
-            np.empty((num_grids, num_mics), dtype=complex),
+            _hermitian_pack_index(num_mics),
         )
         scale = np.vdot(u, u).real * np.vdot(s, s).real
         assert np.all(np.isfinite(energies))
@@ -358,7 +366,7 @@ def test_image_batch_holds_no_segment_tensor(
     config = ImagingConfig(grid_resolution=180)
     plane = ImagingPlane.from_config(0.7, config)
     imager = AcousticImager(array, config=config)
-    imager.image_batch(recordings, plane)  # warm steering, gather, scratch
+    imager.image_batch(recordings, plane)  # build the gather and table
     fs = recordings[0].sample_rate
     segment_length = 2 * max(1, round(config.safeguard_s * fs)) + 1
     segment_tensor_bytes = plane.num_grids * segment_length * 16
@@ -369,3 +377,86 @@ def test_image_batch_holds_no_segment_tensor(
     finally:
         tracemalloc.stop()
     assert peak < segment_tensor_bytes
+
+
+def test_cold_plane_holds_only_the_steering_table(
+    array, quiet_scene, chirp, subject
+):
+    """A 2-beep attempt on a cold paper-size plane (180x180) peaks below
+    15 MB, and afterwards the imager holds the plane's steering table and
+    segment gather but no ``(K, M)`` steering or weight matrix."""
+    rng = np.random.default_rng(3)
+    recordings = quiet_scene.record_beeps(
+        chirp, subject.beep_clouds(0.7, 2, rng), rng
+    )
+    config = ImagingConfig(grid_resolution=180)
+    plane = ImagingPlane.from_config(0.7, config)
+    imager = AcousticImager(array, config=config)
+    tracemalloc.start()
+    try:
+        images = imager.image_batch(recordings, plane)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 15e6
+    (table,) = imager._tables.values()
+    assert table.shape == (array.num_mics**2, plane.num_grids)
+    assert not table.flags.writeable
+    expected = (
+        table.nbytes
+        + imager._gather.order.nbytes
+        + sum(a.nbytes for a in plane.grid_coordinates())
+        + sum(a.nbytes for a in plane.grid_angles())
+        + plane.grid_ranges().nbytes
+        + sum(image.nbytes for image in images)
+    )
+    steering_bytes = plane.num_grids * array.num_mics * 16
+    assert held < expected + steering_bytes / 8
+
+
+def test_pipeline_steers_at_its_speed_of_sound(
+    array, quiet_scene, chirp, subject
+):
+    """Ranging and imaging both steer at the pipeline's speed of sound."""
+    speed = 330.0
+    config = EchoImageConfig(imaging=ImagingConfig(grid_resolution=12))
+    pipeline = EchoImagePipeline(
+        config=config, array=array, speed_of_sound=speed
+    )
+    rng = np.random.default_rng(11)
+    cloud = subject.beep_clouds(0.7, 1, rng)[0]
+    recording = quiet_scene.record_beep(chirp, cloud, rng)
+
+    estimator = pipeline.distance_estimator
+    (analytic,) = estimator.captures([recording]).rows
+    mvdr = MVDRBeamformer(
+        array=array,
+        frequency_hz=config.beep.center_hz,
+        noise_covariance=estimate_noise_covariance(
+            analytic, noise_samples=recording.emit_index
+        ),
+        speed_of_sound=speed,
+    )
+    np.testing.assert_array_equal(
+        estimator.beamformed_signal(recording, analytic),
+        mvdr.beamform(
+            analytic,
+            estimator.config.steer_azimuth_rad,
+            estimator.config.steer_elevation_rad,
+        ),
+    )
+
+    plane = ImagingPlane(distance_m=0.7, resolution=12)
+    image = pipeline.imager.image(recording, plane)
+    reference = _reference_image(
+        pipeline.imager,
+        lambda arr, cov: MVDRBeamformer(
+            array=arr,
+            noise_covariance=cov,
+            loading=config.imaging.diagonal_loading,
+            speed_of_sound=speed,
+        ),
+        recording,
+        plane,
+    )
+    assert np.max(np.abs(image - reference)) <= 1e-12 * reference.max()

@@ -1,5 +1,7 @@
 """Tests for the MiniVGGish feature extractor and image ops."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,24 @@ class TestMiniVGGish:
         batch = net.extract([images[i] for i in order])
         for row, i in enumerate(order):
             assert np.array_equal(batch[row], net.extract([images[i]])[0])
+
+    def test_extract_never_holds_a_batch_im2col(self):
+        # The second convolution's im2col for a whole 16-image batch:
+        # 16 images x (8 channels x 3 x 3) rows x 64 x 64 positions.
+        rng = np.random.default_rng(0)
+        images = [rng.standard_normal((24, 24)) for _ in range(16)]
+        net = MiniVGGish()
+        net.extract(images[:1])
+        batch_im2col_bytes = (
+            len(images) * net.widths[0] * 9 * net.input_size**2 * 8
+        )
+        tracemalloc.start()
+        try:
+            net.extract(images)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < batch_im2col_bytes
 
     def test_gain_invariance_via_normalisation(self):
         image = np.random.default_rng(4).standard_normal((48, 48))

@@ -41,11 +41,11 @@ class TestAuthenticateTrace:
         self, pipeline, quiet_scene, chirp, subject
     ):
         pipeline.enroll_user(record(quiet_scene, chirp, subject, 12, 0))
-        # Enrollment may have warmed the steering cache (ranging is
-        # quantised to the sample grid, so the attempt's plane can equal
-        # the enrollment plane); reset it so the first beep is cold.
-        pipeline.imager._steering_plane = None
-        pipeline.imager._steering_by_band = {}
+        # Enrollment may have built the plane's steering tables (ranging
+        # is quantised to the sample grid, so the attempt's plane can
+        # equal the enrollment plane); reset them so the first beep is
+        # cold.
+        pipeline.imager._kernel_key = None
         num_beeps = 4
         result = pipeline.authenticate(
             record(quiet_scene, chirp, subject, num_beeps, 1)
@@ -73,9 +73,9 @@ class TestAuthenticateTrace:
         assert len(result.trace.find("imaging.image")) == num_beeps
         assert len(result.trace.find("distance.envelope")) == num_beeps
 
-        # The steering cache is cold on the first beep only.
+        # The steering tables are cold on the first beep only.
         cached_flags = [
-            band.attributes["steering_cached"]
+            band.attributes["table_cached"]
             for band in result.trace.find("imaging.band")
         ]
         assert cached_flags[0] is False

@@ -1,14 +1,18 @@
-"""Model-bundle snapshot semantics: sharing, pickling, warm caches."""
+"""Model-bundle snapshot semantics: sharing, pickling, legacy loads."""
 
 from __future__ import annotations
 
+import copy
 import pickle
 
 import numpy as np
 import pytest
 
+from repro.array.steering import steering_vectors
 from repro.config import EchoImageConfig, ImagingConfig
+from repro.core.imaging import ImagingPlane
 from repro.core.pipeline import EchoImagePipeline
+from repro.obs.capture import bundle_content_hash
 from repro.serve import ModelBundle
 
 
@@ -22,12 +26,6 @@ class TestFromPipeline:
         assert bundle.single_auth is pipeline._single_auth
         assert bundle.multi_auth is None
         assert bundle.score_baseline is not None
-
-    def test_steering_cache_captured_read_only(self, enrolled, bundle):
-        assert bundle.steering_plane is not None
-        assert bundle.steering_by_band
-        for steering in bundle.steering_by_band.values():
-            assert not steering.flags.writeable
 
     def test_exactly_one_authenticator_enforced(self, bundle):
         with pytest.raises(ValueError, match="exactly one"):
@@ -50,11 +48,6 @@ class TestBuildPipeline:
             np.asarray(served.scores), np.asarray(reference.scores)
         )
 
-    def test_steering_cache_warm_started(self, bundle):
-        worker = bundle.build_pipeline()
-        assert worker.imager._steering_plane is bundle.steering_plane
-        assert worker.imager._steering_by_band
-
     def test_cache_not_replayed_onto_different_imaging_config(self, bundle):
         coarse = EchoImageConfig(
             beep=bundle.config.beep,
@@ -65,7 +58,7 @@ class TestBuildPipeline:
             monitoring=bundle.config.monitoring,
         )
         worker = bundle.build_pipeline(config=coarse)
-        assert worker.imager._steering_plane is None
+        assert worker.imager._kernel_key is None
         assert worker.config.imaging.grid_resolution == 8
 
     def test_drift_baseline_restored(self, enrolled, bundle):
@@ -92,6 +85,41 @@ class TestPickleRoundTrip:
             rtol=0.0,
             atol=1e-10,
         )
+
+
+class TestLegacyBundle:
+    def test_steering_fields_load_keep_hash_and_serve(
+        self, enrolled, bundle, tmp_path
+    ):
+        """A bundle saved with the former ``steering_plane`` /
+        ``steering_by_band`` fields loads, keeps its content hash and
+        serves the source pipeline's decisions bit for bit."""
+        pipeline, attempt = enrolled
+        legacy = copy.copy(bundle)
+        vars(legacy).pop("_content_hash", None)
+        plane = ImagingPlane.from_config(0.7, bundle.config.imaging)
+        steering = steering_vectors(
+            bundle.array, *plane.grid_angles(), bundle.config.beep.center_hz
+        )
+        steering.setflags(write=False)
+        # The former trailing dataclass fields, in declaration order.
+        object.__setattr__(legacy, "steering_plane", plane)
+        object.__setattr__(legacy, "steering_by_band", {0: steering})
+        digest = bundle_content_hash(legacy)
+        path = tmp_path / "legacy.bundle.pkl"
+        legacy.save(path)
+
+        restored = ModelBundle.load(path)
+        assert restored.content_hash() == digest
+        reference = pipeline.authenticate(attempt)
+        for batched in (False, True):
+            served = restored.build_pipeline(
+                batched_imaging=batched
+            ).authenticate(attempt)
+            assert served.label == reference.label
+            assert np.array_equal(
+                np.asarray(served.scores), np.asarray(reference.scores)
+            )
 
 
 class TestDiskRoundTrip:
