@@ -43,7 +43,8 @@ src/repro/__init__.py``):
     True
     >>> sorted(result.trace.span_names())  # the per-attempt breakdown
     ['auth.predict', 'authenticate', 'distance.envelope', \
-'distance.estimate', 'features.extract', 'imaging.band', 'imaging.image']
+'distance.estimate', 'features.extract', 'imaging.band', 'imaging.image', \
+'stream.beep']
 """
 
 from repro.body.population import build_population

@@ -8,8 +8,8 @@ The subsystem closes the longitudinal gap in the observability stack
 * :mod:`repro.bench.registry` — :class:`BenchCase` and the
   :class:`BenchRegistry` the case catalogue registers into;
 * :mod:`repro.bench.cases` — the catalogue itself: perf cases over the
-  hot kernels (matched filter, MVDR steering/covariance, per-beep vs
-  batched imaging, embedding extraction) and end-to-end paths
+  hot kernels (matched filter, MVDR steering/covariance, imaging one
+  beep and a stack, embedding extraction) and end-to-end paths
   (``Pipeline.authenticate``, ``BatchAuthenticator`` on every backend),
   plus quality cases (EER, identification accuracy, spoofer detection)
   at fixed seeds;

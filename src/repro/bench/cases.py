@@ -1,8 +1,8 @@
 """The benchmark-case catalogue over the EchoImage hot paths.
 
 Perf cases cover each kernel the serving stack leans on — the matched
-filter, MVDR steering/covariance/weights, per-beep vs batched imaging,
-CNN embedding extraction — plus the end-to-end paths
+filter, MVDR steering/covariance/weights, imaging one beep and an
+8-beep stack, CNN embedding extraction — plus the end-to-end paths
 (``Pipeline.authenticate`` and :class:`repro.serve.BatchAuthenticator`
 batch throughput on every backend).  Quality cases re-run the paper's
 evaluation protocol (:mod:`repro.eval.experiments`) at small fixed seeds
@@ -514,16 +514,16 @@ def _bench_image(ctx: BenchContext):
 @perf_case(
     "imaging.image_batch",
     group="imaging",
-    description="Batched imaging of an 8-beep attempt "
-    "(grouped-GEMM serving kernel)",
+    description="Imaging an 8-beep stack in one call on a warm 24x24 "
+    "plane (one stacked front end, the enrollment path)",
 )
 def _bench_image_batch(ctx: BenchContext):
     imager = ctx.pipeline().imager
     plane = ctx.plane()
     recordings = ctx.recordings(1, 8, 60)
-    imager.image_batch(recordings, plane)  # warm caches
+    imager.images(recordings, plane)  # build the plane's steering table
 
-    return lambda: imager.image_batch(recordings, plane)
+    return lambda: imager.images(recordings, plane)
 
 
 @perf_case(
@@ -628,10 +628,9 @@ def _bench_stream_quick(ctx: BenchContext):
     "serve.stream_exact",
     group="serve",
     description=f"Streaming authentication with early exit disabled "
-    f"(bit-identical to the batch path), serial backend "
+    f"(the same attempt loop as the batch path), serial backend "
     f"({BATCH_REQUESTS} requests x {STREAM_BEEPS} beeps); the baseline "
-    "for serve.stream_quick and the per-beep dispatch overhead vs "
-    "serve.batch_serial",
+    "for serve.stream_quick",
 )
 def _bench_stream_exact(ctx: BenchContext):
     from repro.config import ExitPolicy

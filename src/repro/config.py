@@ -530,20 +530,21 @@ class SentinelConfig:
 class ServingConfig:
     """Parameters of the batched serving layer (:mod:`repro.serve`).
 
+    Every worker serves through the library's own attempt loop
+    (:meth:`repro.core.pipeline.EchoImagePipeline.authenticate`), so
+    no serving option changes how an attempt is imaged.
+
     Attributes:
         backend: Worker-pool flavour: ``"thread"`` (default; zero-copy
-            sharing of the model bundle, bit-identical to the sequential
-            path), ``"process"`` (sidesteps the GIL for CPU-bound NumPy
-            segments that do not release it), or ``"serial"`` (in-line
-            execution, the debugging baseline).
+            sharing of the model bundle, bit-identical to a direct
+            pipeline call), ``"process"`` (sidesteps the GIL for
+            CPU-bound NumPy segments that do not release it), or
+            ``"serial"`` (in-line execution, the debugging baseline).
         max_workers: Worker count; ``0`` picks ``os.cpu_count()``.
         timeout_s: End-to-end budget for one submitted batch.  Requests
             that have not finished when it expires are reported as
             ``timeout`` failures; their work is abandoned, not
             interrupted.
-        batched_imaging: Image each attempt's beeps through
-            :meth:`repro.core.imaging.AcousticImager.image_batch` instead
-            of the sequential per-beep loop.
         degrade_on_error: Retry failed requests down the degradation
             ladder (fewer beeps, then a coarser grid) before reporting
             failure.
@@ -561,7 +562,6 @@ class ServingConfig:
     backend: str = "thread"
     max_workers: int = 0
     timeout_s: float = 30.0
-    batched_imaging: bool = True
     degrade_on_error: bool = True
 
     def __post_init__(self) -> None:

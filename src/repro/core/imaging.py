@@ -233,7 +233,8 @@ class AcousticImager:
 
         With ``config.subbands == 1`` this is exactly the paper's imager
         (Section V-C); with more sub-bands the per-band pixel energies are
-        averaged incoherently (frequency compounding).
+        averaged incoherently (frequency compounding).  A one-beep
+        :meth:`images` call.
 
         Args:
             recording: One multichannel beep capture.
@@ -245,25 +246,64 @@ class AcousticImager:
             Image of shape ``(resolution, resolution)`` of non-negative
             pixel values (segment L2 norms).
         """
+        (image,) = self.images([recording], plane, captures)
+        return image
+
+    def images(
+        self,
+        recordings: list[BeepRecording],
+        plane: ImagingPlane,
+        captures: AnalyticCaptures | None = None,
+    ) -> list[np.ndarray]:
+        """One acoustic image per beep capture.
+
+        The beeps share the plane: the first builds its steering tables
+        and the rest reuse them.  Each sub-band's front end (band-pass
+        filter and Hilbert transform) runs once over the stacked
+        ``(L, M, N)`` capture, beep by beep when the captures differ in
+        shape or sample rate, and not at all for a sub-band whose filter
+        equals that of ``captures`` — the attempt's ranging captures
+        (:meth:`~repro.core.distance.DistanceEstimator.captures`), as at
+        the default ``subbands = 1``.
+
+        The energies go through one per-beep kernel, so a beep's image
+        does not depend on the other beeps of the call, and the call
+        holds one ``(K,)`` energy row per beep beyond what one beep
+        needs.  It records one ``imaging.image`` span.
+
+        Returns:
+            One ``(resolution, resolution)`` image per recording, in
+            input order (``[]`` for none).
+        """
+        if not recordings:
+            return []
         with ensure_trace(), trace(
             "imaging.image",
+            num_beeps=len(recordings),
             resolution=plane.resolution,
             subbands=self.config.subbands,
             distance_m=plane.distance_m,
-            bytes=int(recording.samples.nbytes),
+            bytes=int(sum(rec.samples.nbytes for rec in recordings)),
         ) as span:
-            (pixels,) = self._pixels([recording], plane, captures)
+            pixels = self._pixels(recordings, plane, captures)  # (L, K)
             metrics = pipeline_metrics()
             if metrics is not None:
                 # Imaging fidelity: how far the brightest pixel (the body
                 # reflection of Eqs. 11-12) stands above the clutter floor.
-                floor = float(np.median(pixels)) + 1e-30
-                dynamic_range_db = 20.0 * np.log10(
-                    float(pixels.max()) / floor + 1e-30
-                )
-                metrics.image_dynamic_range_db.observe(dynamic_range_db)
+                for row in pixels:
+                    floor = float(np.median(row)) + 1e-30
+                    dynamic_range_db = 20.0 * np.log10(
+                        float(row.max()) / floor + 1e-30
+                    )
+                    metrics.image_dynamic_range_db.observe(dynamic_range_db)
+                # Like the band-energy gauge, the span keeps the last beep's.
                 span.set("dynamic_range_db", float(dynamic_range_db))
-            return pixels.reshape(plane.resolution, plane.resolution)
+            return [
+                row.reshape(plane.resolution, plane.resolution)
+                for row in pixels
+            ]
+
+    image_batch = images  # perfbench wraps this name; ROADMAP item 6 drops it
 
     def _pixels(
         self,
@@ -272,12 +312,18 @@ class AcousticImager:
         captures: AnalyticCaptures | None,
     ) -> np.ndarray:
         """Pixel values of every beep, ``(L, K)``: the root of the mean
-        segment energy over the sub-bands."""
-        energies = [
-            self._band_energies(recordings, plane, band, captures)
-            for band in range(self.config.subbands)
-        ]  # subbands x (L, K)
-        return np.sqrt(np.mean(energies, axis=0))
+        segment energy over the sub-bands.
+
+        The bands are summed in place into the first band's energies,
+        in band order, which is bitwise what ``np.mean`` over the
+        stacked ``(subbands, L, K)`` energies computes, without the
+        stack.
+        """
+        pixels = self._band_energies(recordings, plane, 0, captures)
+        for band in range(1, self.config.subbands):
+            pixels += self._band_energies(recordings, plane, band, captures)
+        pixels /= self.config.subbands
+        return np.sqrt(pixels, out=pixels)
 
     def _beep_energies(
         self,
@@ -291,10 +337,10 @@ class AcousticImager:
         ``analytic`` is the beep's band-passed analytic capture
         ``(M, N)``; its pre-emission samples give the noise covariance
         of the beamformer whose weighting matrix ``P`` the energies use.
-        :meth:`image` and :meth:`image_batch` both call this once per
-        beep with identical operands (an analytic row is bitwise the same
-        whether its beep was filtered alone, in a stack, or by ranging),
-        which is what keeps their outputs bit-identical.
+        Every beep goes through this once with the same operands however
+        it is batched (an analytic row is bitwise the same whether its
+        beep was filtered alone, in a stack, or by ranging), which is
+        what makes a beep's image independent of the call it is in.
 
         Returns ``(energies, table_was_cached)``.
         """
@@ -400,83 +446,6 @@ class AcousticImager:
             groups=tuple(zip(bounds[:-1], bounds[1:])),
             length=length,
         )
-
-    def images(
-        self,
-        recordings: list[BeepRecording],
-        plane: ImagingPlane,
-        captures: AnalyticCaptures | None = None,
-    ) -> list[np.ndarray]:
-        """One acoustic image per beep capture.
-
-        The first beep builds the plane's steering tables; every
-        subsequent beep reuses them.
-
-        ``captures`` are the attempt's band-passed analytic captures
-        from ranging
-        (:meth:`~repro.core.distance.DistanceEstimator.captures`).  Every
-        sub-band whose filter equals theirs — the single band of the
-        default ``subbands = 1`` — images from them instead of filtering
-        the recordings again; other sub-bands are filtered here.
-        """
-        if captures is None:
-            return [self.image(rec, plane) for rec in recordings]
-        return [
-            self.image(rec, plane, captures[index : index + 1])
-            for index, rec in enumerate(recordings)
-        ]
-
-    def image_batch(
-        self,
-        recordings: list[BeepRecording],
-        plane: ImagingPlane,
-        captures: AnalyticCaptures | None = None,
-    ) -> list[np.ndarray]:
-        """Batched equivalent of :meth:`images` for one attempt.
-
-        The L beeps of an attempt share the imaging plane, so the heavy
-        per-beep front end — band-pass filtering and the Hilbert
-        transform — is evaluated once on the stacked ``(L, M, N)``
-        capture per sub-band (or taken from ``captures``, as in
-        :meth:`images`).  The segment energies then go through the same
-        per-beep kernel as :meth:`image`, so the output matches the
-        sequential path bit-for-bit by construction (the golden harness
-        under ``tests/golden`` enforces ≤1e-10 drift as a safety net),
-        and the batch holds no per-beep working memory beyond one
-        ``(K,)`` energy row per beep.
-
-        Captures of different shapes or sample rates are filtered beep
-        by beep.  A single recording goes through :meth:`images`, and an
-        empty list returns ``[]``.
-
-        Returns:
-            One ``(resolution, resolution)`` image per recording, in
-            input order.
-        """
-        if not recordings:
-            return []
-        if len(recordings) == 1:
-            return self.images(recordings, plane, captures)
-        with ensure_trace(), trace(
-            "imaging.image_batch",
-            num_beeps=len(recordings),
-            resolution=plane.resolution,
-            subbands=self.config.subbands,
-            distance_m=plane.distance_m,
-            bytes=int(sum(rec.samples.nbytes for rec in recordings)),
-        ):
-            pixels = self._pixels(recordings, plane, captures)  # (L, K)
-            metrics = pipeline_metrics()
-            if metrics is not None:
-                for row in pixels:
-                    floor = float(np.median(row)) + 1e-30
-                    metrics.image_dynamic_range_db.observe(
-                        20.0 * np.log10(float(row.max()) / floor + 1e-30)
-                    )
-            return [
-                row.reshape(plane.resolution, plane.resolution)
-                for row in pixels
-            ]
 
     def _band_energies(
         self,

@@ -57,11 +57,12 @@ class AuthenticationResult:
         per_beep_labels: Raw per-beep decisions before majority voting.
         trace: Per-attempt :class:`~repro.obs.PipelineTrace` — the span
             tree covering distance estimation (``distance.estimate``),
-            per-beep imaging (``imaging.image`` with one ``imaging.band``
-            child per sub-band), feature extraction
-            (``features.extract``) and the SVDD/SVM decision
-            (``auth.predict``).  Render it with ``result.trace.format()``
-            or aggregate many with :func:`repro.obs.aggregate`.
+            one ``stream.beep`` per consumed beep holding its imaging
+            (``imaging.image`` with one ``imaging.band`` child per
+            sub-band) and feature extraction (``features.extract``),
+            and the SVDD/SVM decision (``auth.predict``).  Render it
+            with ``result.trace.format()`` or aggregate many with
+            :func:`repro.obs.aggregate`.
         scores: Per-beep SVDD decision scores (positive = inside the
             registered description) — the raw values behind
             ``per_beep_labels``.
@@ -79,10 +80,11 @@ class AuthenticationResult:
             same id appears on the attempt's trace, drift alerts and
             audit-ledger entry.
         beeps_used: How many beeps the decision actually consumed — the
-            attempt length for the batch path, possibly fewer for
-            :meth:`EchoImagePipeline.authenticate_streaming`.
-        early_exit: Whether the streaming path stopped before consuming
-            every beep (always ``False`` on the batch path).
+            attempt length unless an enabled exit policy of
+            :meth:`EchoImagePipeline.authenticate_streaming` stopped
+            early.
+        early_exit: Whether that policy stopped before the last beep
+            (always ``False`` for :meth:`EchoImagePipeline.authenticate`).
 
     Example:
         Inspect where an attempt spent its time::
@@ -114,17 +116,6 @@ class EchoImagePipeline:
         array: Microphone geometry (defaults to the ReSpeaker array).
         speed_of_sound: Speed of sound in m/s.
         feature_mode: "cnn" (paper design) or "raw" (ablation).
-        batched_imaging: Image each attempt through
-            :meth:`~repro.core.imaging.AcousticImager.image_batch`
-            instead of the sequential per-beep loop.  Outputs are
-            bit-identical (the golden harness under ``tests/golden``
-            enforces this).  Both paths image from the band-passed
-            analytic captures ranging made for the attempt; the batched
-            one stacks the front end of any other sub-band and records
-            one ``imaging.image_batch`` span instead of one
-            ``imaging.image`` per beep.  Default off so the seed
-            pipeline stays byte-for-byte the paper's loop; the serving
-            layer (:mod:`repro.serve`) turns it on.
 
     Example::
 
@@ -143,6 +134,12 @@ class EchoImagePipeline:
     ``authenticate`` / ``enroll_user(s)`` open a :mod:`repro.obs` trace
     (spans ``authenticate`` / ``enroll``) delivered to registered sinks
     such as :class:`repro.obs.Profiler`.
+
+    Enrollment images all of a user's beeps in one
+    :meth:`~repro.core.imaging.AcousticImager.images` call;
+    ``authenticate`` and ``authenticate_streaming`` run one attempt
+    loop that images and featurises one beep at a time.  A beep's image
+    is bitwise the same either way.
     """
 
     def __init__(
@@ -151,10 +148,8 @@ class EchoImagePipeline:
         array: MicrophoneArray | None = None,
         speed_of_sound: float = 343.0,
         feature_mode: str = "cnn",
-        batched_imaging: bool = False,
     ) -> None:
         self.config = config or EchoImageConfig()
-        self.batched_imaging = batched_imaging
         self.array = array or respeaker_array()
         self.distance_estimator = DistanceEstimator(
             array=self.array,
@@ -226,18 +221,7 @@ class EchoImagePipeline:
                 recordings, captures
             ).user_distance_m
         plane = self.imaging_plane(distance_m)
-        return self._image(recordings, plane, captures), plane
-
-    def _image(
-        self,
-        recordings: list[BeepRecording],
-        plane: ImagingPlane,
-        captures: AnalyticCaptures,
-    ) -> list[np.ndarray]:
-        """Image an attempt through the configured imaging path."""
-        if self.batched_imaging:
-            return self.imager.image_batch(recordings, plane, captures)
-        return self.imager.images(recordings, plane, captures)
+        return self.imager.images(recordings, plane, captures), plane
 
     # ------------------------------------------------------------------
     # Enrollment
@@ -352,6 +336,11 @@ class EchoImagePipeline:
     ) -> AuthenticationResult:
         """Authenticate one attempt (several beeps) by majority vote.
 
+        Every beep is imaged on the plane at the estimated distance,
+        featurised and labelled, and the per-beep labels are
+        majority-voted (Sections V-C to V-E).  This is
+        :meth:`authenticate_streaming` with the exit disabled.
+
         Args:
             recordings: Beep captures of the attempt.
 
@@ -362,81 +351,7 @@ class EchoImagePipeline:
         Raises:
             RuntimeError: When no enrollment has happened yet.
         """
-        if self._multi_auth is None and self._single_auth is None:
-            raise RuntimeError(
-                "no users enrolled; call enroll_user or enroll_users first"
-            )
-        margins: tuple = ()
-        store = get_capture_store()
-        collector = None
-        with correlation_scope(current_request_id()) as request_id:
-            with start_trace() as attempt_trace:
-                with trace(
-                    "authenticate", num_beeps=len(recordings)
-                ) as root:
-                    captures = self.distance_estimator.captures(recordings)
-                    distance = self.estimate_distance(recordings, captures)
-                    plane = self.imaging_plane(distance.user_distance_m)
-                    images = self._image(recordings, plane, captures)
-                    features = self.feature_extractor.extract(images)
-                    if store is not None:
-                        collector = StageCollector(
-                            root, store.capture_arrays
-                        )
-                        collector.stamp(
-                            "distance", _distance_vector(distance)
-                        )
-                        collector.stamp("images", np.stack(images))
-                        collector.stamp("features", features)
-
-                    if self._multi_auth is not None:
-                        labels, scores, raw_margins = (
-                            self._multi_auth.decide_detailed(features)
-                        )
-                        per_beep = tuple(labels.tolist())
-                        margins = tuple(float(m) for m in raw_margins)
-                    else:
-                        accepted, scores = self._single_auth.decide(features)
-                        per_beep = tuple(
-                            "user" if flag else SPOOFER_LABEL
-                            for flag in accepted
-                        )
-
-                    label = _majority(per_beep)
-                    if collector is not None:
-                        collector.stamp(
-                            "scores", np.asarray(scores, dtype=float)
-                        )
-                        if margins:
-                            collector.stamp(
-                                "margins",
-                                np.asarray(margins, dtype=float),
-                            )
-                        collector.stamp("labels", list(per_beep))
-                    root.update(
-                        label=str(label), accepted=label != SPOOFER_LABEL
-                    )
-                    alerts = self._record_attempt(
-                        label != SPOOFER_LABEL, scores, distance
-                    )
-        result = AuthenticationResult(
-            label=label,
-            accepted=label != SPOOFER_LABEL,
-            distance=distance,
-            per_beep_labels=per_beep,
-            trace=attempt_trace,
-            scores=tuple(float(s) for s in scores),
-            drift_alerts=alerts,
-            margins=margins,
-            request_id=request_id,
-            beeps_used=len(recordings),
-            early_exit=False,
-        )
-        if store is not None:
-            self._record_capture(
-                store, result, collector, tuple(recordings), None
-            )
-        return result
+        return self._attempt(recordings, None)
 
     def authenticate_streaming(
         self,
@@ -455,20 +370,21 @@ class EchoImagePipeline:
         batch ``decide`` call over the consumed feature rows — the
         incremental per-beep scores drive only the exit check, because
         per-row kernel evaluation is ULP-close but not bitwise equal to
-        the batch GEMM.  Per-beep imaging and feature extraction *are*
-        bitwise equal to the batch path, so with the policy disabled
-        (``score_threshold = inf``, the default) this method consumes
-        every beep and reproduces :meth:`authenticate` exactly —
-        decision, scores and margins bit-for-bit (pinned by
-        ``tests/serve/test_streaming_properties.py``).
+        the batch GEMM.  With the policy disabled
+        (``score_threshold = inf``, the default) no beep is scored
+        incrementally and this method runs exactly what
+        :meth:`authenticate` runs — decision, scores and margins
+        bit-for-bit (pinned by
+        ``tests/serve/test_streaming_properties.py``); only the
+        capture's ``kind`` and ``exit_policy`` tell the two apart.
 
-        The distance estimate intentionally uses the *full* attempt in
-        both paths: ranging averages the beep envelopes (Eq. 10), and
-        sharing it keeps the imaging plane — and therefore the
-        consumed-prefix features — identical to the batch path.  That
-        makes ranging the one stage early exit cannot shorten, and on
-        the ``stream_observed`` serving benchmark (8-beep attempts,
-        early exit) it is the largest served stage: a traced
+        The distance estimate intentionally uses the *full* attempt:
+        ranging averages the beep envelopes (Eq. 10), and sharing it
+        keeps the imaging plane — and therefore the consumed-prefix
+        features — independent of the exit point.  That makes ranging
+        the one stage early exit cannot shorten, and on the
+        ``stream_observed`` serving benchmark (8-beep attempts, early
+        exit) it is the largest served stage: a traced
         ``distance.estimate`` took 34–40 ms per request on a 2-vCPU VM
         (one BLAS thread) while every beep's filters were designed and
         applied one beep at a time, and 21–26 ms with the stacked front
@@ -485,11 +401,34 @@ class EchoImagePipeline:
             ``early_exit`` describing how much of the attempt was
             consumed.
         """
-        if self._multi_auth is None and self._single_auth is None:
+        return self._attempt(recordings, exit_policy or ExitPolicy())
+
+    def _attempt(
+        self,
+        recordings: list[BeepRecording],
+        exit_policy: ExitPolicy | None,
+    ) -> AuthenticationResult:
+        """The attempt loop behind both entry points.
+
+        Ranges once, then images and featurises beep by beep (one
+        ``stream.beep`` span each); only an enabled ``exit_policy``
+        feeds the per-beep scores to a
+        :class:`~repro.core.authenticator.DecisionStream` and checks for
+        an early exit.  ``exit_policy`` is ``None`` for
+        :meth:`authenticate`, which the capture records as such.
+        """
+        auth = (
+            self._multi_auth
+            if self._multi_auth is not None
+            else self._single_auth
+        )
+        if auth is None:
             raise RuntimeError(
                 "no users enrolled; call enroll_user or enroll_users first"
             )
-        policy = exit_policy or ExitPolicy()
+        stream = None
+        if exit_policy is not None and exit_policy.enabled:
+            stream = auth.begin_stream()
         margins: tuple = ()
         store = get_capture_store()
         collector = None
@@ -498,33 +437,32 @@ class EchoImagePipeline:
                 with trace(
                     "authenticate",
                     num_beeps=len(recordings),
-                    streaming=True,
+                    streaming=exit_policy is not None,
                 ) as root:
                     captures = self.distance_estimator.captures(recordings)
                     distance = self.estimate_distance(recordings, captures)
                     plane = self.imaging_plane(distance.user_distance_m)
-                    if self._multi_auth is not None:
-                        stream = self._multi_auth.begin_stream()
-                    else:
-                        stream = self._single_auth.begin_stream()
                     rows: list[np.ndarray] = []
-                    consumed_images: list[np.ndarray] = []
+                    images: list[np.ndarray] = []
                     early = False
                     for index, recording in enumerate(recordings):
                         with trace("stream.beep", beep_index=index) as beep:
-                            images = self._image(
+                            (image,) = self.imager.images(
                                 [recording], plane, captures[index : index + 1]
                             )
-                            row = self.feature_extractor.extract(images)
+                            row = self.feature_extractor.extract([image])
                             rows.append(row)
                             if store is not None:
-                                consumed_images.extend(images)
-                            snapshot = stream.push(row)
-                            beep.update(
-                                mean_score=snapshot.mean_score,
-                                unanimous=snapshot.unanimous,
-                            )
-                        if _should_exit(policy, snapshot):
+                                images.append(image)
+                            if stream is not None:
+                                snapshot = stream.push(row)
+                                beep.update(
+                                    mean_score=snapshot.mean_score,
+                                    unanimous=snapshot.unanimous,
+                                )
+                        if stream is not None and _should_exit(
+                            exit_policy, snapshot
+                        ):
                             early = index + 1 < len(recordings)
                             break
                     features = np.concatenate(rows, axis=0)
@@ -535,9 +473,7 @@ class EchoImagePipeline:
                         collector.stamp(
                             "distance", _distance_vector(distance)
                         )
-                        collector.stamp(
-                            "images", np.stack(consumed_images)
-                        )
+                        collector.stamp("images", np.stack(images))
                         collector.stamp("features", features)
 
                     if self._multi_auth is not None:
@@ -588,7 +524,7 @@ class EchoImagePipeline:
         )
         if store is not None:
             self._record_capture(
-                store, result, collector, tuple(recordings), policy
+                store, result, collector, tuple(recordings), exit_policy
             )
         return result
 
@@ -621,7 +557,6 @@ class EchoImagePipeline:
                 config=self.config,
                 exit_policy=exit_policy,
                 feature_mode=self.feature_extractor.mode,
-                batched_imaging=self.batched_imaging,
                 trace=(
                     result.trace.to_dict()
                     if result.trace is not None

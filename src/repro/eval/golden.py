@@ -124,8 +124,7 @@ def build_case(
 
     Returns:
         ``(pipeline, attempt_recordings)`` — the pipeline is enrolled on
-        the case's synthetic subject through the sequential seed path
-        (``batched_imaging=False``), and the recordings are the frozen
+        the case's synthetic subject, and the recordings are the frozen
         attempt the fixtures were computed from.
     """
     scene = AcousticScene(
@@ -145,7 +144,7 @@ def build_case(
 
 
 def compute_reference(case: GoldenCase) -> dict[str, np.ndarray]:
-    """The case's reference outputs via the sequential seed path.
+    """The case's reference outputs.
 
     Returns:
         Mapping with float64 arrays: ``images`` of shape

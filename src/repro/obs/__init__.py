@@ -159,7 +159,6 @@ STAGES = (
     "distance.estimate",
     "distance.envelope",
     "imaging.image",
-    "imaging.image_batch",
     "imaging.band",
     "features.extract",
     "auth.predict",

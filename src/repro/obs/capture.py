@@ -102,7 +102,6 @@ class RequestCapture:
             retry this *is* the degraded config.
         exit_policy: The streaming exit policy, ``None`` for batch.
         feature_mode: Feature extractor mode of the serving pipeline.
-        batched_imaging: Whether the pipeline imaged per-batch.
         stage_arrays: Stage name → full output array, kept when the
             store captures arrays; lets replay report ``max_abs_err``
             and the first offending element, not just digest mismatch.
@@ -126,7 +125,6 @@ class RequestCapture:
     config: object = None
     exit_policy: object = None
     feature_mode: str | None = None
-    batched_imaging: bool = False
     stage_arrays: dict = field(default_factory=dict)
     bundle_hash: str | None = None
     degradation: str | None = None
@@ -157,7 +155,6 @@ class RequestCapture:
             "backend": self.backend,
             "via": self.via,
             "feature_mode": self.feature_mode,
-            "batched_imaging": self.batched_imaging,
             "streaming": self.exit_policy is not None,
             "annotations": dict(self.annotations),
         }

@@ -340,8 +340,7 @@ def replay_request(
         ):
             mismatches.append("bundle_hash")
     pipeline = bundle.build_pipeline(
-        config if config is not None else capture.config,
-        batched_imaging=capture.batched_imaging,
+        config if config is not None else capture.config
     )
     # Run against a throwaway in-memory store so the replay records its
     # own stage digests/arrays without touching the installed store.

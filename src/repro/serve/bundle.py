@@ -142,6 +142,7 @@ class ModelBundle:
     def build_pipeline(
         self,
         config: EchoImageConfig | None = None,
+        # Ignored; perfbench still passes it (ROADMAP item 6 drops it).
         batched_imaging: bool = True,
     ) -> EchoImagePipeline:
         """A worker pipeline wired to this bundle's shared model state.
@@ -150,8 +151,6 @@ class ModelBundle:
             config: Optional stage-config override (used by the
                 degradation ladder for coarser-grid variants); defaults
                 to the enrolled configuration.
-            batched_imaging: Whether the worker images attempts through
-                :meth:`~repro.core.imaging.AcousticImager.image_batch`.
 
         Returns:
             A ready-to-serve pipeline.  The authenticators (and their
@@ -163,7 +162,6 @@ class ModelBundle:
             array=self.array,
             speed_of_sound=self.speed_of_sound,
             feature_mode=self.feature_mode,
-            batched_imaging=batched_imaging,
         )
         pipeline.adopt_enrollment(
             single_auth=self.single_auth,

@@ -91,20 +91,18 @@ from repro.serve.requests import (
 )
 
 #: Signature of the pipeline-construction seam: ``(bundle, config,
-#: batched_imaging) -> pipeline``.  Tests inject crashing/hanging
-#: pipelines through it; production leaves it at
-#: :meth:`ModelBundle.build_pipeline`.
+#: unused) -> pipeline``.  Tests inject crashing/hanging pipelines
+#: through it; production leaves it at :meth:`ModelBundle.build_pipeline`.
+#: Unused third argument: perfbench's ``batched_imaging`` (ROADMAP item 6).
 PipelineFactory = Callable[
     [ModelBundle, EchoImageConfig | None, bool], EchoImagePipeline
 ]
 
 
 def _default_factory(
-    bundle: ModelBundle,
-    config: EchoImageConfig | None,
-    batched_imaging: bool,
+    bundle: ModelBundle, config: EchoImageConfig | None, _unused: bool
 ) -> EchoImagePipeline:
-    return bundle.build_pipeline(config, batched_imaging=batched_imaging)
+    return bundle.build_pipeline(config)
 
 
 class _WorkerRuntime:
@@ -121,13 +119,11 @@ class _WorkerRuntime:
         self,
         bundle: ModelBundle,
         policy: DegradationPolicy,
-        batched_imaging: bool,
         degrade_on_error: bool,
         factory: PipelineFactory,
     ) -> None:
         self.bundle = bundle
         self.policy = policy
-        self.batched_imaging = batched_imaging
         self.degrade_on_error = degrade_on_error
         self.factory = factory
         self._pipelines: dict[str | None, EchoImagePipeline] = {}
@@ -139,7 +135,8 @@ class _WorkerRuntime:
             config = None if step is None else step.scale_config(
                 self.bundle.config
             )
-            pipeline = self.factory(self.bundle, config, self.batched_imaging)
+            # Always True and ignored; see PipelineFactory.
+            pipeline = self.factory(self.bundle, config, True)
             self._pipelines[key] = pipeline
         return pipeline
 
@@ -224,12 +221,11 @@ _PROCESS_RUNTIME: _WorkerRuntime | None = None
 def _init_process_worker(
     bundle: ModelBundle,
     policy: DegradationPolicy,
-    batched_imaging: bool,
     degrade_on_error: bool,
 ) -> None:
     global _PROCESS_RUNTIME
     _PROCESS_RUNTIME = _WorkerRuntime(
-        bundle, policy, batched_imaging, degrade_on_error, _default_factory
+        bundle, policy, degrade_on_error, _default_factory
     )
 
 
@@ -327,7 +323,7 @@ class BatchAuthenticator:
             )
         self._pool: Executor | None = None
         # Thread backend: one runtime per worker thread (pipelines are
-        # not thread-safe — the imager reuses scratch buffers).
+        # not thread-safe — the imager caches per-plane steering tables).
         self._local = threading.local()
         self._serial_runtime: _WorkerRuntime | None = None
 
@@ -337,7 +333,6 @@ class BatchAuthenticator:
         return _WorkerRuntime(
             self.bundle,
             self.policy,
-            self.config.batched_imaging,
             self.config.degrade_on_error,
             self._factory,
         )
@@ -370,7 +365,6 @@ class BatchAuthenticator:
                 initargs=(
                     self.bundle,
                     self.policy,
-                    self.config.batched_imaging,
                     self.config.degrade_on_error,
                 ),
             )

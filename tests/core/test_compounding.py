@@ -72,3 +72,24 @@ class TestFrequencyCompounding:
             return float(np.mean(np.std(images, axis=0)))
 
         assert spread(compound) <= spread(single) * 1.2
+
+
+@pytest.mark.parametrize("subbands", [1, 2, 3, 5, 8])
+def test_in_place_band_sum_equals_stacked_mean(
+    array, silent_scene, chirp, rng, subbands
+):
+    """The compounded pixels are bitwise the root of ``np.mean`` over
+    the stacked per-band energies, though no stack is built."""
+    imager = AcousticImager(
+        array, config=ImagingConfig(grid_resolution=8, subbands=subbands)
+    )
+    recordings = [
+        silent_scene.record_beep(chirp, point_body(), rng) for _ in range(2)
+    ]
+    plane = ImagingPlane(distance_m=0.7, resolution=8)
+    stacked = [
+        imager._band_energies(recordings, plane, band, None)
+        for band in range(subbands)
+    ]
+    pixels = imager._pixels(recordings, plane, None)
+    assert np.array_equal(pixels, np.sqrt(np.mean(stacked, axis=0)))

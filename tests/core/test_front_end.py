@@ -25,6 +25,7 @@ from repro.config import (
 from repro.core.distance import DistanceEstimator
 from repro.core.imaging import AcousticImager, ImagingPlane
 from repro.core.pipeline import EchoImagePipeline
+from repro.serve import ModelBundle
 from repro.signal.analytic import AnalyticCaptures, analytic_signal
 from repro.signal.chirp import LFMChirp
 from repro.signal.filters import BandpassFilter
@@ -85,22 +86,33 @@ def filtered_beeps(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("batched", [False, True], ids=["images", "batch"])
-class TestOneFrontEndPerAttempt:
-    """At ``subbands = 1`` every beep is band-passed once, by ranging."""
+@pytest.fixture(scope="module")
+def bundle(enrolled):
+    """The enrolled pipeline's model bundle, as the serving layer holds it."""
+    return ModelBundle.from_pipeline(enrolled[0])
 
-    def test_construct_images(
-        self, enrolled, filtered_beeps, monkeypatch, batched
-    ):
-        pipeline, attempt = enrolled
-        monkeypatch.setattr(pipeline, "batched_imaging", batched)
-        pipeline.construct_images(attempt)
+
+@pytest.mark.parametrize("served", [False, True], ids=["images", "batch"])
+class TestOneFrontEndPerAttempt:
+    """At ``subbands = 1`` every beep is band-passed once, by ranging.
+
+    ``images`` runs the library pipeline that enrolled the user;
+    ``batch`` a worker pipeline of the batched serving layer, which
+    :meth:`ModelBundle.build_pipeline` builds from that enrollment.
+    """
+
+    @staticmethod
+    def _pipeline(enrolled, bundle, served: bool) -> EchoImagePipeline:
+        return bundle.build_pipeline() if served else enrolled[0]
+
+    def test_construct_images(self, enrolled, bundle, filtered_beeps, served):
+        attempt = enrolled[1]
+        self._pipeline(enrolled, bundle, served).construct_images(attempt)
         assert filtered_beeps == [len(attempt)]
 
-    def test_authenticate(self, enrolled, filtered_beeps, monkeypatch, batched):
-        pipeline, attempt = enrolled
-        monkeypatch.setattr(pipeline, "batched_imaging", batched)
-        pipeline.authenticate(attempt)
+    def test_authenticate(self, enrolled, bundle, filtered_beeps, served):
+        attempt = enrolled[1]
+        self._pipeline(enrolled, bundle, served).authenticate(attempt)
         assert filtered_beeps == [len(attempt)]
 
     @pytest.mark.parametrize(
@@ -109,31 +121,48 @@ class TestOneFrontEndPerAttempt:
         ids=["exit-disabled", "early-exit"],
     )
     def test_authenticate_streaming(
-        self, enrolled, filtered_beeps, monkeypatch, batched, policy,
-        beeps_used,
+        self, enrolled, bundle, filtered_beeps, served, policy, beeps_used
     ):
-        pipeline, attempt = enrolled
-        monkeypatch.setattr(pipeline, "batched_imaging", batched)
+        attempt = enrolled[1]
+        pipeline = self._pipeline(enrolled, bundle, served)
         result = pipeline.authenticate_streaming(attempt, policy)
         assert result.beeps_used == beeps_used
         assert filtered_beeps == [len(attempt)]
 
 
 @pytest.mark.parametrize("batched", [False, True], ids=["images", "batch"])
-def test_other_subbands_filter_for_themselves(filtered_beeps, batched):
+def test_other_subbands_filter_for_themselves(
+    bundle, filtered_beeps, monkeypatch, batched
+):
     """At ``subbands = 2`` neither band is the ranging band: each is
-    filtered by the imager, and the images equal the per-band path."""
+    filtered by the imager, and the images equal imaging each beep alone.
+
+    ``construct_images`` images the attempt as one stack, one call per
+    sub-band (``batch``); the attempt loop images it beep by beep, one
+    call per beep and sub-band (``images``).
+    """
     attempt = _scene_recordings(3, seed=2)
-    pipeline = EchoImagePipeline(config=_config(subbands=2))
-    pipeline.batched_imaging = batched
-    images, plane = pipeline.construct_images(attempt)
-    if batched:  # one stacked call per sub-band
+    pipeline = bundle.build_pipeline(config=_config(subbands=2))
+    if batched:
+        images, plane = pipeline.construct_images(attempt)
         assert filtered_beeps == [3, 3, 3]
-    else:  # every beep alone, each sub-band in turn
+    else:
+        images = []
+        imaged = pipeline.imager.images
+
+        def keep(*args, **kwargs):
+            batch = imaged(*args, **kwargs)
+            images.extend(batch)
+            return batch
+
+        monkeypatch.setattr(pipeline.imager, "images", keep)
+        result = pipeline.authenticate(attempt)
+        plane = pipeline.imaging_plane(result.distance.user_distance_m)
         assert filtered_beeps == [3] + [1] * 6
+    assert len(images) == len(attempt)
     imager = AcousticImager(pipeline.array, config=pipeline.config.imaging)
-    for image, reference in zip(images, imager.images(attempt, plane)):
-        assert np.array_equal(image, reference)
+    for image, recording in zip(images, attempt):
+        assert np.array_equal(image, imager.image(recording, plane))
 
 
 @pytest.mark.parametrize("num_beeps", [1, 2, 3, 8])
@@ -153,12 +182,8 @@ def test_image_independent_of_stack(num_beeps):
         alone = analytic_signal(bandpass.apply(recordings[index].samples))
         assert np.array_equal(row, alone)
     alone = {i: imager.image(recordings[i], plane) for i in order}
-    for images in (
-        imager.image_batch(stack, plane, captures),
-        imager.images(stack, plane, captures),
-    ):
-        for index, image in zip(order, images):
-            assert np.array_equal(image, alone[index])
+    for index, image in zip(order, imager.images(stack, plane, captures)):
+        assert np.array_equal(image, alone[index])
 
 
 def test_different_lengths_fall_back_per_beep(filtered_beeps):
@@ -189,7 +214,7 @@ def test_different_lengths_fall_back_per_beep(filtered_beeps):
         respeaker_array(), config=ImagingConfig(grid_resolution=12)
     )
     plane = ImagingPlane.from_config(1.0, imager.config)
-    batched = imager.image_batch(recordings, plane, captures)
+    batched = imager.images(recordings, plane, captures)
     for image, recording in zip(batched, recordings):
         assert np.array_equal(image, imager.image(recording, plane))
 
@@ -203,7 +228,7 @@ def test_captures_of_other_recordings_are_ignored(filtered_beeps):
     )
     plane = ImagingPlane.from_config(1.0, imager.config)
     foreign = AnalyticCaptures(others, imager._bandpasses[0])
-    images = imager.image_batch(recordings, plane, foreign)
+    images = imager.images(recordings, plane, foreign)
     assert filtered_beeps == [2]  # the imager's own stacked call
     for image, recording in zip(images, recordings):
         assert np.array_equal(image, imager.image(recording, plane))

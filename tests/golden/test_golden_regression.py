@@ -2,12 +2,13 @@
 
 The fixtures under ``fixtures/`` freeze images, embeddings and decisions
 of the deterministic cases in :mod:`repro.eval.golden` (regenerate with
-``scripts/refresh_golden.py``).  These tests replay the sequential seed
-path, the batched imaging path and every serving backend against them:
+``scripts/refresh_golden.py``).  These tests replay the paper-shaped
+per-beep loop, one imaging call over the whole attempt and every
+serving backend against them:
 
-* sequential / batched / thread-backend serving must agree with each
-  other **bitwise** (they share the grouped beamforming kernel and the
-  model state zero-copy);
+* per-beep / whole-attempt imaging and thread-backend serving must agree
+  with each other **bitwise** (every beep goes through the same energy
+  kernel, and the model state is shared zero-copy);
 * the process backend must agree within 1e-10 (results cross a pickle
   boundary but the arithmetic is identical);
 * everything must agree with the float32 fixtures within
@@ -44,7 +45,7 @@ def golden(request):
 def _live_outputs(pipeline, attempt):
     distance = pipeline.estimate_distance(attempt)
     plane = pipeline.imaging_plane(distance.user_distance_m)
-    images = pipeline.imager.images(attempt, plane)
+    images = [pipeline.imager.image(rec, plane) for rec in attempt]
     features = pipeline.feature_extractor.extract(images)
     result = pipeline.authenticate(attempt)
     return {
@@ -69,8 +70,8 @@ class TestBatchedImaging:
         case, pipeline, attempt, fixture = golden
         distance = pipeline.estimate_distance(attempt)
         plane = pipeline.imaging_plane(distance.user_distance_m)
-        sequential = pipeline.imager.images(attempt, plane)
-        batched = pipeline.imager.image_batch(attempt, plane)
+        sequential = [pipeline.imager.image(rec, plane) for rec in attempt]
+        batched = pipeline.imager.images(attempt, plane)
         assert len(batched) == len(sequential)
         for index, (seq, bat) in enumerate(zip(sequential, batched)):
             assert np.array_equal(seq, bat), (
@@ -82,7 +83,7 @@ class TestBatchedImaging:
         case, pipeline, attempt, fixture = golden
         distance = pipeline.estimate_distance(attempt)
         plane = pipeline.imaging_plane(distance.user_distance_m)
-        batched = np.stack(pipeline.imager.image_batch(attempt, plane))
+        batched = np.stack(pipeline.imager.images(attempt, plane))
         report = diff_report("images", batched, fixture["images"])
         assert report is None, report
 

@@ -1,22 +1,32 @@
-"""Run the enrollment-store docstring examples under the tier-1 suite.
+"""Run the public docstring examples under the tier-1 suite.
 
-The operator docs lean on these examples (``docs/SCALING.md`` links
-straight to them), so they are executed here instead of trusting prose:
-a drifting signature breaks this test, not a reader.
+The package quickstart (:mod:`repro`), the config, imaging-plane and
+stage-report examples, and the enrollment-store examples the operator
+docs lean on (``docs/SCALING.md`` links straight to them) are executed
+here instead of trusting prose: a drifting signature or span list
+breaks this test, not a reader.
 """
 
 import doctest
 
 import pytest
 
+import repro
+import repro.config
+import repro.core.imaging
 import repro.io.storage
 import repro.io.store
 import repro.ml.prefilter
+import repro.obs.report
 
 MODULES = (
+    repro,
+    repro.config,
+    repro.core.imaging,
     repro.io.storage,
     repro.io.store,
     repro.ml.prefilter,
+    repro.obs.report,
 )
 
 

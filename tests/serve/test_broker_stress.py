@@ -94,7 +94,7 @@ class TestOverload:
         submitters = 4
         per_submitter = 10  # 40 requests >= 10x the queue capacity
 
-        def canned_factory(bundle_arg, config, batched):
+        def canned_factory(bundle_arg, config, _):
             return _CannedPipeline(canned_result, DISPATCH_DELAY_S)
 
         registry = MetricsRegistry()
@@ -202,7 +202,7 @@ class TestCrashInjection:
     ):
         _, attempt = enrolled
 
-        def crashing_factory(bundle_arg, config, batched):
+        def crashing_factory(bundle_arg, config, _):
             return _CrashingCannedPipeline(canned_result)
 
         config = ServingConfig(backend="serial", degrade_on_error=False)
@@ -262,8 +262,8 @@ class TestHangInjection:
         _, attempt = enrolled
         release = threading.Event()
 
-        def hanging_factory(bundle_arg, config, batched):
-            real = bundle_arg.build_pipeline(config, batched_imaging=batched)
+        def hanging_factory(bundle_arg, config, _):
+            real = bundle_arg.build_pipeline(config)
             return _HangOnMarker(real, release)
 
         requests = [

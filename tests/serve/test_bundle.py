@@ -41,7 +41,7 @@ class TestBuildPipeline:
     def test_worker_matches_source_pipeline_bitwise(self, enrolled, bundle):
         pipeline, attempt = enrolled
         reference = pipeline.authenticate(attempt)
-        worker = bundle.build_pipeline(batched_imaging=False)
+        worker = bundle.build_pipeline()
         served = worker.authenticate(attempt)
         assert served.label == reference.label
         assert np.array_equal(
@@ -75,9 +75,7 @@ class TestPickleRoundTrip:
         pipeline, attempt = enrolled
         clone = pickle.loads(pickle.dumps(bundle))
         reference = pipeline.authenticate(attempt)
-        served = clone.build_pipeline(batched_imaging=False).authenticate(
-            attempt
-        )
+        served = clone.build_pipeline().authenticate(attempt)
         assert served.label == reference.label
         np.testing.assert_allclose(
             np.asarray(served.scores),
@@ -112,14 +110,11 @@ class TestLegacyBundle:
         restored = ModelBundle.load(path)
         assert restored.content_hash() == digest
         reference = pipeline.authenticate(attempt)
-        for batched in (False, True):
-            served = restored.build_pipeline(
-                batched_imaging=batched
-            ).authenticate(attempt)
-            assert served.label == reference.label
-            assert np.array_equal(
-                np.asarray(served.scores), np.asarray(reference.scores)
-            )
+        served = restored.build_pipeline().authenticate(attempt)
+        assert served.label == reference.label
+        assert np.array_equal(
+            np.asarray(served.scores), np.asarray(reference.scores)
+        )
 
 
 class TestDiskRoundTrip:
@@ -131,9 +126,7 @@ class TestDiskRoundTrip:
         assert bundle.save(path) is bundle
         restored = ModelBundle.load(path)
         reference = pipeline.authenticate(attempt)
-        served = restored.build_pipeline(
-            batched_imaging=False
-        ).authenticate(attempt)
+        served = restored.build_pipeline().authenticate(attempt)
         assert served.label == reference.label
         np.testing.assert_allclose(
             np.asarray(served.scores),

@@ -151,6 +151,33 @@ class TestReplayDeterminism:
             replay_request(capture, bundle=None)
 
 
+class TestLegacyCapture:
+    def test_capture_with_imaging_flag_reopens_and_replays(
+        self, enrolled, bundle, tmp_path
+    ):
+        """Captures written while the pipeline had a ``batched_imaging``
+        flag unpickle with it in their ``__dict__``; a reopened store
+        serves them, replay ignores the field and the summary omits it."""
+        pipeline, recordings = enrolled
+        root = tmp_path / "legacy"
+        store = CaptureStore(root=root)
+        previous = set_capture_store(store)
+        try:
+            result = pipeline.authenticate(list(recordings))
+        finally:
+            set_capture_store(previous)
+        legacy = store.get(result.request_id)
+        vars(legacy)["batched_imaging"] = True
+        store.record(legacy)  # rewrite the envelope with the old field
+
+        capture = CaptureStore(root=root).get(result.request_id)
+        assert vars(capture)["batched_imaging"] is True
+        report = replay_request(capture, bundle)
+        assert report.verdict == VERDICT_IDENTICAL
+        assert report.replayed_decision == report.recorded_decision
+        assert "batched_imaging" not in capture.summary_document()
+
+
 class TestIdentifyReplay:
     @pytest.fixture()
     def populated(self, tmp_path):

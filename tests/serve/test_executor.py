@@ -133,8 +133,8 @@ class TestBackends:
 
 
 class TestFailureIsolation:
-    def _crashing_factory(self, bundle_arg, config, batched):
-        real = bundle_arg.build_pipeline(config, batched_imaging=batched)
+    def _crashing_factory(self, bundle_arg, config, _):
+        real = bundle_arg.build_pipeline(config)
         return _CrashOnMarker(real)
 
     @pytest.mark.parametrize("backend", ["serial", "thread"])
@@ -187,10 +187,10 @@ class TestFailureIsolation:
             def authenticate(self, recordings):
                 raise RuntimeError("full fidelity down")
 
-        def factory(bundle_arg, config, batched):
+        def factory(bundle_arg, config, _):
             if config is None:
                 return _AlwaysCrash()
-            return bundle_arg.build_pipeline(config, batched_imaging=batched)
+            return bundle_arg.build_pipeline(config)
 
         requests = make_requests(attempt, 2)
         config = ServingConfig(backend="serial", degrade_on_error=True)
@@ -214,8 +214,8 @@ class TestTimeouts:
         _, attempt = enrolled
         release = threading.Event()
 
-        def hanging_factory(bundle_arg, config, batched):
-            real = bundle_arg.build_pipeline(config, batched_imaging=batched)
+        def hanging_factory(bundle_arg, config, _):
+            real = bundle_arg.build_pipeline(config)
             return _HangOnMarker(real, release)
 
         requests = [
@@ -258,9 +258,9 @@ class TestTimeouts:
                 release.wait(0.2)
                 return self._real.authenticate(recordings)
 
-        def slow_factory(bundle_arg, config, batched):
+        def slow_factory(bundle_arg, config, _):
             return _Slow(
-                bundle_arg.build_pipeline(config, batched_imaging=batched)
+                bundle_arg.build_pipeline(config)
             )
 
         requests = make_requests(attempt, 3)
@@ -288,10 +288,8 @@ class TestTelemetry:
                 AuthenticationRequest("bad", (attempt[0],)),
             ]
 
-            def crashing_factory(bundle_arg, config, batched):
-                real = bundle_arg.build_pipeline(
-                    config, batched_imaging=batched
-                )
+            def crashing_factory(bundle_arg, config, _):
+                real = bundle_arg.build_pipeline(config)
                 return _CrashOnMarker(real)
 
             config = ServingConfig(backend="serial", degrade_on_error=False)

@@ -1,12 +1,12 @@
-"""Property-based equivalence of batched vs sequential imaging.
+"""Property-based batch-size invariance of imaging.
 
-``AcousticImager.image_batch`` promises the same numbers as the
-sequential ``image`` loop for *any* stackable attempt — not just the
-golden cases.  These tests sample random beep counts, grid resolutions
-and sub-band splits (via ``hypothesis`` when available, a seeded
-stdlib-random sweep otherwise) and hold the two paths to within 1e-10
-of each other; in practice they are bit-identical because both dispatch
-into the same grouped beamforming kernel.
+``AcousticImager.images`` over a whole attempt promises the same
+numbers as one ``image`` call per beep for *any* stackable attempt —
+not just the golden cases.  These tests sample random beep counts, grid
+resolutions and sub-band splits (via ``hypothesis`` when available, a
+seeded stdlib-random sweep otherwise) and hold the two to within 1e-10
+of each other; in practice they are bit-identical because every beep
+goes through the same per-beep energy kernel.
 
 The latent-bug regression tests at the bottom pin down two historical
 footguns: steering-cache warm-up must not change results, and an empty
@@ -70,7 +70,7 @@ def _assert_paths_agree(
     recordings = _make_recordings(num_beeps, seed)
     plane = ImagingPlane.from_config(distance_m, imager.config)
     sequential = [imager.image(rec, plane) for rec in recordings]
-    batched = imager.image_batch(recordings, plane)
+    batched = imager.images(recordings, plane)
     assert len(batched) == num_beeps
     for index, (seq, bat) in enumerate(zip(sequential, batched)):
         assert seq.shape == bat.shape == (resolution, resolution)
@@ -134,21 +134,21 @@ class TestLatentBugRegressions:
         imager = _make_imager(12, 1)
         recordings = _make_recordings(3, seed=7)
         plane = ImagingPlane.from_config(0.9, imager.config)
-        cold = imager.image_batch(recordings, plane)
-        warm = imager.image_batch(recordings, plane)
+        cold = imager.images(recordings, plane)
+        warm = imager.images(recordings, plane)
         for cold_img, warm_img in zip(cold, warm):
             assert np.array_equal(cold_img, warm_img)
 
     def test_empty_batch_returns_empty_list(self):
         imager = _make_imager(8, 1)
         plane = ImagingPlane.from_config(1.0, imager.config)
-        assert imager.image_batch([], plane) == []
+        assert imager.images([], plane) == []
 
     def test_single_recording_batch_matches_image(self):
         imager = _make_imager(10, 1)
         (recording,) = _make_recordings(1, seed=3)
         plane = ImagingPlane.from_config(1.1, imager.config)
-        (batched,) = imager.image_batch([recording], plane)
+        (batched,) = imager.images([recording], plane)
         assert np.array_equal(batched, imager.image(recording, plane))
 
     def test_heterogeneous_recordings_fall_back_to_sequential(self):
@@ -168,7 +168,7 @@ class TestLatentBugRegressions:
             ),
         ]
         plane = ImagingPlane.from_config(1.0, imager.config)
-        batched = imager.image_batch(recordings, plane)
+        batched = imager.images(recordings, plane)
         sequential = [imager.image(rec, plane) for rec in recordings]
         for bat, seq in zip(batched, sequential):
             assert np.array_equal(bat, seq)

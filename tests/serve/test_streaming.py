@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import ExitPolicy, ServingConfig
-from repro.core.authenticator import StreamSnapshot
+from repro.core.authenticator import DecisionStream, StreamSnapshot
 from repro.core.pipeline import _should_exit
 from repro.obs import (
     AuditLedger,
@@ -156,6 +156,40 @@ class TestPipelineStreaming:
         assert result.beeps_used == len(attempt)
         assert not result.early_exit
 
+    def test_disabled_policy_scores_no_beep_incrementally(
+        self, enrolled, monkeypatch
+    ):
+        """Incremental scores feed only the exit check, so a policy that
+        can never exit pushes no beep; every beep is still imaged once,
+        inside its own ``stream.beep`` span."""
+        pipeline, attempt = enrolled
+        pushes = []
+        original = DecisionStream.push
+
+        def spy(self, row):
+            pushes.append(row)
+            return original(self, row)
+
+        monkeypatch.setattr(DecisionStream, "push", spy)
+        for result in (
+            pipeline.authenticate(list(attempt)),
+            pipeline.authenticate_streaming(list(attempt), ExitPolicy()),
+        ):
+            assert pushes == []
+            beeps = result.trace.find("stream.beep")
+            assert [b.attributes["beep_index"] for b in beeps] == list(
+                range(len(attempt))
+            )
+            for beep in beeps:
+                (image,) = [
+                    s for s in beep.iter_spans() if s.name == "imaging.image"
+                ]
+                assert image.attributes["num_beeps"] == 1
+            assert len(result.trace.find("imaging.image")) == len(attempt)
+        # The spy does see an enabled policy's pushes.
+        pipeline.authenticate_streaming(list(attempt), FAST_POLICY)
+        assert len(pushes) == 1
+
 
 class TestExecutorStreaming:
     def _requests(self, attempt, count=2):
@@ -284,10 +318,10 @@ class TestExitDegradationInterplay:
     """Early exit and the degradation ladder are mutually exclusive."""
 
     @staticmethod
-    def _factory(bundle_arg, config, batched):
+    def _factory(bundle_arg, config, _):
         if config is None:  # full fidelity: crash into the ladder
             return _StreamingDown()
-        return bundle_arg.build_pipeline(config, batched_imaging=batched)
+        return bundle_arg.build_pipeline(config)
 
     def test_degraded_streaming_request_is_not_early_exited(
         self, enrolled, bundle

@@ -196,8 +196,8 @@ class TestFlightRecording:
         _, attempt = enrolled
         release = threading.Event()
 
-        def hanging_factory(bundle_arg, config, batched):
-            real = bundle_arg.build_pipeline(config, batched_imaging=batched)
+        def hanging_factory(bundle_arg, config, _):
+            real = bundle_arg.build_pipeline(config)
             return _HangOnMarker(real, release)
 
         dump_path = tmp_path / "blackbox.json"
@@ -253,10 +253,10 @@ class TestFlightRecording:
             def authenticate(self, recordings):
                 raise RuntimeError("full fidelity down")
 
-        def factory(bundle_arg, config, batched):
+        def factory(bundle_arg, config, _):
             if config is None:
                 return _AlwaysCrash()
-            return bundle_arg.build_pipeline(config, batched_imaging=batched)
+            return bundle_arg.build_pipeline(config)
 
         recorder = FlightRecorder()
         config = ServingConfig(backend="serial", degrade_on_error=True)
