@@ -1,11 +1,12 @@
 """Re-execute a captured request and diff it stage by stage.
 
 A :class:`repro.obs.CaptureStore` (``serve_monitor.py --capture-dir``,
-``ObservabilityConfig.capture_dir``) records everything a request needs
-to run again: its input waveforms, the config/ExitPolicy actually used,
-the model-bundle content hash, the environment fingerprint and a digest
-of every stage output.  This script loads one capture, re-executes it
-through :func:`repro.obs.replay.replay_request` (or
+or ``set_capture_store(CaptureStore(root=…))`` in an embedding service)
+records everything a request needs to run again: its input waveforms,
+the config/ExitPolicy actually used, the model-bundle content hash, the
+environment fingerprint and a digest of every stage output.  This
+script loads one capture, re-executes it through
+:func:`repro.obs.replay.replay_request` (or
 :func:`~repro.obs.replay.replay_identify` for ``identify`` captures)
 and prints the stage-level divergence diff.
 

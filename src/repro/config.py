@@ -306,105 +306,6 @@ class MonitoringConfig:
 
 
 @dataclass(frozen=True)
-class ObservabilityConfig:
-    """Parameters of the live observability endpoint and flight recorder.
-
-    Attributes:
-        host: Bind address of the HTTP endpoint (loopback by default —
-            expose it deliberately, the endpoint has no auth).
-        port: TCP port; ``0`` picks an ephemeral port (useful in tests —
-            read the bound port back from
-            :attr:`repro.obs.ObservabilityServer.port`).
-        flight_max_requests: Completed request records the flight
-            recorder retains (ring buffer, oldest evicted).
-        flight_max_events: Structured events retained (timeouts,
-            degradations, drift alerts, worker errors).
-        flight_dump_path: When set, the serving layer automatically
-            writes the black-box JSON file here whenever a batch
-            contains failed requests; ``None`` disables auto dumps.
-        audit_path: When set, decisions are appended to the
-            hash-chained :class:`repro.obs.AuditLedger` at this JSONL
-            path; ``None`` (default) disables auditing entirely.
-        audit_max_bytes: Rotation threshold of the active ledger file;
-            ``0`` disables rotation.
-        capture_dir: When set, per-request captures (inputs, resolved
-            config, stage digests — everything
-            :func:`repro.obs.replay.replay_request` needs) are persisted
-            to a :class:`repro.obs.CaptureStore` rooted here; ``None``
-            (default) disables capture entirely.
-        capture_max: Captures retained before the store evicts the
-            least-recently-used entry.
-
-    Example:
-        >>> cfg = ObservabilityConfig(port=9102)
-        >>> cfg.host, cfg.flight_max_requests
-        ('127.0.0.1', 256)
-        >>> ObservabilityConfig(port=-1)
-        Traceback (most recent call last):
-            ...
-        ValueError: port must lie in [0, 65535], got -1
-    """
-
-    host: str = "127.0.0.1"
-    port: int = 0
-    flight_max_requests: int = 256
-    flight_max_events: int = 512
-    flight_dump_path: str | None = None
-    audit_path: str | None = None
-    audit_max_bytes: int = 4_000_000
-    capture_dir: str | None = None
-    capture_max: int = 256
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.port <= 65535:
-            raise ValueError(
-                f"port must lie in [0, 65535], got {self.port}"
-            )
-        if self.flight_max_requests < 1 or self.flight_max_events < 1:
-            raise ValueError("flight-recorder ring sizes must be >= 1")
-        if self.audit_max_bytes < 0:
-            raise ValueError("audit_max_bytes must be >= 0 (0 = no rotation)")
-        if self.capture_max < 1:
-            raise ValueError("capture_max must be >= 1")
-
-    def build_recorder(self):
-        """A :class:`repro.obs.FlightRecorder` with these parameters."""
-        from repro.obs import FlightRecorder
-
-        return FlightRecorder(
-            max_requests=self.flight_max_requests,
-            max_events=self.flight_max_events,
-            auto_dump_path=self.flight_dump_path,
-        )
-
-    def build_ledger(self):
-        """An :class:`repro.obs.AuditLedger` at :attr:`audit_path`.
-
-        Returns ``None`` when auditing is not configured.
-        """
-        if self.audit_path is None:
-            return None
-        from repro.obs import AuditLedger
-
-        return AuditLedger(self.audit_path, max_bytes=self.audit_max_bytes)
-
-    def build_capture_store(self):
-        """A :class:`repro.obs.CaptureStore` rooted at :attr:`capture_dir`.
-
-        Returns ``None`` when capture is not configured — callers
-        install the store process-wide with
-        :func:`repro.obs.set_capture_store`.
-        """
-        if self.capture_dir is None:
-            return None
-        from repro.obs import CaptureStore
-
-        return CaptureStore(
-            root=self.capture_dir, max_captures=self.capture_max
-        )
-
-
-@dataclass(frozen=True)
 class SentinelConfig:
     """Parameters of the streaming security sentinel
     (:mod:`repro.obs.sentinel`).
@@ -513,17 +414,6 @@ class SentinelConfig:
             raise ValueError("shard_mean_sigmas must be positive")
         if self.shard_variance_ratio <= 1.0:
             raise ValueError("shard_variance_ratio must exceed 1")
-
-    def build_sentinel(self, clock=None):
-        """A :class:`repro.obs.SecuritySentinel` with these parameters.
-
-        Args:
-            clock: Optional monotonic-seconds source (experiments inject
-                a scripted clock for deterministic attack pacing).
-        """
-        from repro.obs import SecuritySentinel
-
-        return SecuritySentinel(self, clock=clock)
 
 
 @dataclass(frozen=True)

@@ -467,9 +467,7 @@ class EchoImagePipeline:
                             break
                     features = np.concatenate(rows, axis=0)
                     if store is not None:
-                        collector = StageCollector(
-                            root, store.capture_arrays
-                        )
+                        collector = StageCollector(root)
                         collector.stamp(
                             "distance", _distance_vector(distance)
                         )

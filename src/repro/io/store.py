@@ -594,7 +594,7 @@ class EnrollmentStore:
             identify_decision_document,
         )
 
-        collector = StageCollector(span, store.capture_arrays)
+        collector = StageCollector(span)
         collector.stamp("features", features)
         if result.gate_scores:
             collector.stamp(

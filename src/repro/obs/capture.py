@@ -102,9 +102,9 @@ class RequestCapture:
             retry this *is* the degraded config.
         exit_policy: The streaming exit policy, ``None`` for batch.
         feature_mode: Feature extractor mode of the serving pipeline.
-        stage_arrays: Stage name → full output array, kept when the
-            store captures arrays; lets replay report ``max_abs_err``
-            and the first offending element, not just digest mismatch.
+        stage_arrays: Stage name → full output array; lets replay
+            report ``max_abs_err`` and the first offending element, not
+            just digest mismatch.
         bundle_hash: Content hash of the serving bundle (annotated by
             the batch driver, which also stashes the bundle itself).
         degradation: Degradation step that served the request, if any.
@@ -210,9 +210,6 @@ class CaptureStore:
             :meth:`drain`.
         max_captures: Captures retained before the least-recently-used
             one is evicted (its envelope file is deleted too).
-        capture_arrays: Whether pipeline hooks should keep full stage
-            arrays in addition to digests (costs memory/disk, buys
-            ``max_abs_err`` localisation on divergence).
         async_persist: Move envelope writes off the recording thread
             onto a daemon writer (the hot path then only marks the
             capture dirty; the writer snapshots it under the lock and
@@ -236,14 +233,12 @@ class CaptureStore:
         self,
         root: str | Path | None = None,
         max_captures: int = 256,
-        capture_arrays: bool = True,
         async_persist: bool = False,
     ) -> None:
         if max_captures < 1:
             raise ValueError("max_captures must be >= 1")
         self.root = Path(root) if root is not None else None
         self.max_captures = max_captures
-        self.capture_arrays = capture_arrays
         self.async_persist = bool(async_persist and self.root is not None)
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
@@ -545,16 +540,14 @@ class CaptureStore:
 class StageCollector:
     """Per-request digest/array collector used by the pipeline hooks.
 
-    Binds a root span and a store policy; each :meth:`stamp` records the
-    stage digest on the span (via
-    :meth:`~repro.obs.tracer.Span.record_digest`) and keeps the digest
-    — plus, for arrays and when the store captures arrays, a defensive
-    copy of the output itself — for the :class:`RequestCapture`.
+    Binds a root span; each :meth:`stamp` records the stage digest on
+    the span (via :meth:`~repro.obs.tracer.Span.record_digest`) and
+    keeps the digest — plus, for arrays, a defensive copy of the output
+    itself — for the :class:`RequestCapture`.
     """
 
-    def __init__(self, span, capture_arrays: bool) -> None:
+    def __init__(self, span) -> None:
         self._span = span
-        self._capture_arrays = capture_arrays
         self.digests: dict = {}
         self.arrays: dict = {}
 
@@ -562,7 +555,7 @@ class StageCollector:
         import numpy as np
 
         self.digests[stage] = self._span.record_digest(stage, value)
-        if self._capture_arrays and isinstance(value, np.ndarray):
+        if isinstance(value, np.ndarray):
             self.arrays[stage] = np.array(value, copy=True)
 
 

@@ -5,8 +5,9 @@ recorder answers *what exactly happened just before things went wrong*.
 It is a bounded, thread-safe ring buffer that retains
 
 * the last N **completed request records** — request id, outcome,
-  latency, degradation step and the request's serialised
-  :class:`~repro.obs.tracer.PipelineTrace`;
+  latency, degradation step and the request's
+  :class:`~repro.obs.tracer.PipelineTrace`, kept as recorded and
+  serialised only when the records are read;
 * the last M **structured events** — timeouts, degradations, worker
   errors, drift alerts, dump triggers.
 
@@ -114,14 +115,16 @@ class FlightRecorder:
             latency_s: Worker-side wall time, when known.
             degradation: Degradation step taken, if any.
             error: Terminal error description for failed requests.
-            trace: The request's span tree — a live
-                :class:`PipelineTrace` or its ``to_dict()`` form.
+            trace: The request's span tree — a completed
+                :class:`PipelineTrace` or its ``to_dict()`` form.  A
+                live trace is kept as is (it is usually alive on the
+                response anyway) and serialised only when the record is
+                read, by :meth:`requests`, :meth:`to_dict` and dumps.
 
         Returns:
-            The stored record (also kept in the ring buffer).
+            The stored record (also kept in the ring buffer), holding
+            ``trace`` as passed.
         """
-        if isinstance(trace, PipelineTrace):
-            trace = trace.to_dict()
         record = {
             "request_id": request_id,
             "status": status,
@@ -171,12 +174,21 @@ class FlightRecorder:
     # -- reading -------------------------------------------------------
 
     def requests(self, limit: int | None = None) -> list[dict]:
-        """The retained request records, oldest first (newest ``limit``)."""
+        """The retained request records, oldest first (newest ``limit``).
+
+        Every returned record is JSON-serialisable: live traces are
+        serialised here, into copies of their records.
+        """
         with self._lock:
             records = list(self._requests)
         if limit is not None and limit >= 0:
             records = records[len(records) - min(limit, len(records)):]
-        return records
+        return [
+            {**record, "trace": record["trace"].to_dict()}
+            if isinstance(record["trace"], PipelineTrace)
+            else record
+            for record in records
+        ]
 
     def events(
         self, limit: int | None = None, kind: str | None = None

@@ -172,8 +172,6 @@ class ObservabilityServer:
     """Serve live telemetry over HTTP from a daemon thread.
 
     Args:
-        config: Optional :class:`repro.config.ObservabilityConfig`
-            carrying host/port (keyword arguments below override it).
         host: Bind address (default loopback).
         port: TCP port; ``0`` picks an ephemeral port (read it back from
             :attr:`port` after :meth:`start` — this is what tests use).
@@ -213,10 +211,9 @@ class ObservabilityServer:
 
     def __init__(
         self,
-        config=None,
         *,
-        host: str | None = None,
-        port: int | None = None,
+        host: str = "127.0.0.1",
+        port: int = 0,
         registry: MetricsRegistry | None = None,
         recorder: FlightRecorder | None = None,
         readiness: Callable[[], bool] | None = None,
@@ -226,11 +223,8 @@ class ObservabilityServer:
         sentinel=None,
         capture_store=None,
     ) -> None:
-        if config is not None:
-            host = config.host if host is None else host
-            port = config.port if port is None else port
-        self.host = host if host is not None else "127.0.0.1"
-        self.requested_port = port if port is not None else 0
+        self.host = host
+        self.requested_port = port
         self._registry = registry
         self._recorder = recorder
         self.readiness = readiness

@@ -38,6 +38,14 @@ structured ``error`` responses, worker hangs become ``timeout``
 responses bounded by the authenticator's batch budget, so the loop —
 and the queue — always keeps draining.
 
+Batches are served with ``via="broker"``, which the authenticator's
+outcome fan-out (:func:`repro.serve.outcomes.record_outcomes`) stamps
+on their captures.  The responses the broker resolves itself — sheds,
+and the ``error`` responses of a raising authenticator or
+``close(drain=False)`` — go through the same fan-out.  Outside it the
+broker feeds only the sentinel's admission stream and its queue-depth
+gauge.
+
 Example::
 
     bundle = ModelBundle.from_pipeline(enrolled_pipeline)
@@ -56,14 +64,10 @@ from time import monotonic
 
 from repro.config import BrokerConfig, ExitPolicy
 from repro.core.telemetry import pipeline_metrics
-from repro.obs import (
-    ensure_trace,
-    get_flight_recorder,
-    get_security_sentinel,
-    trace,
-)
+from repro.obs import ensure_trace, get_security_sentinel, trace
 from repro.obs.slo import SLOTracker
 from repro.serve.executor import BatchAuthenticator
+from repro.serve.outcomes import record_outcomes
 from repro.serve.requests import (
     STATUS_ERROR,
     STATUS_SHED,
@@ -244,29 +248,10 @@ class RequestBroker:
     def _shed_response(
         self, request: AuthenticationRequest, reason: str
     ) -> AuthenticationResponse:
+        """A ``shed`` response for a refused admission, observed."""
         with self._lock:
             self._shed_counts[reason] = self._shed_counts.get(reason, 0) + 1
-        metrics = pipeline_metrics()
-        if metrics is not None:
-            tenant = metrics.tenant_label(request.tenant)
-            metrics.broker_shed.labels(reason=reason, tenant=tenant).inc()
-            metrics.serve_requests.labels(
-                outcome=STATUS_SHED, tenant=tenant
-            ).inc()
-        get_flight_recorder().record_event(
-            "shed",
-            request_id=request.request_id,
-            reason=reason,
-            tenant=request.tenant,
-        )
-        sentinel = get_security_sentinel()
-        if sentinel is not None:
-            sentinel.observe_admission(
-                tenant=request.tenant,
-                shed_reason=reason,
-                request_id=request.request_id,
-            )
-        return AuthenticationResponse(
+        response = AuthenticationResponse(
             request_id=request.request_id,
             status=STATUS_SHED,
             shed_reason=reason,
@@ -275,6 +260,8 @@ class RequestBroker:
                 f"{self.depth}/{self.config.capacity}"
             ),
         )
+        record_outcomes([request], [response], via="broker")
+        return response
 
     # -- dispatch ------------------------------------------------------
 
@@ -329,22 +316,14 @@ class RequestBroker:
             try:
                 if self._exit_policy is not None:
                     responses = self._authenticator.authenticate_streaming(
-                        requests, self._exit_policy
+                        requests, self._exit_policy, via="broker"
                     )
                 else:
                     responses = self._authenticator.authenticate_batch(
-                        requests
+                        requests, via="broker"
                     )
             except Exception as exc:  # noqa: BLE001 — keep draining
-                responses = [
-                    AuthenticationResponse(
-                        request_id=request.request_id,
-                        status=STATUS_ERROR,
-                        error=repr(exc),
-                    )
-                    for request in requests
-                ]
-            self._annotate_captures(requests)
+                responses = self._fail(requests, repr(exc))
             with self._lock:
                 self._inflight -= len(batch)
                 self._served += len(batch)
@@ -352,20 +331,29 @@ class RequestBroker:
                 future.set_result(response)
 
     @staticmethod
-    def _annotate_captures(requests) -> None:
-        """Mark served captures as broker traffic.
+    def _fail(
+        requests: list[AuthenticationRequest], error: str
+    ) -> list[AuthenticationResponse]:
+        """``error`` responses the broker resolves itself, observed.
 
-        The authenticator already recorded and bundle-annotated them;
-        the broker only adds the admission path, so a replayed dispute
-        shows how the request entered the system.
+        Observing is best effort here: serving may have raised out of a
+        broken observer (its ``repr`` is then the responses' ``error``),
+        and the callers must get their answers, and the dispatch loop
+        keep running, either way.
         """
-        from repro.obs import get_capture_store
-
-        store = get_capture_store()
-        if store is None:
-            return
-        for request in requests:
-            store.annotate(request.request_id, via="broker")
+        responses = [
+            AuthenticationResponse(
+                request_id=request.request_id,
+                status=STATUS_ERROR,
+                error=error,
+            )
+            for request in requests
+        ]
+        try:
+            record_outcomes(requests, responses, via="broker")
+        except Exception:  # noqa: BLE001 — answer the callers regardless
+            pass
+        return responses
 
     def _set_depth_gauge(self, depth: int) -> None:
         metrics = pipeline_metrics()
@@ -407,15 +395,14 @@ class RequestBroker:
                 self._queues.clear()
                 self._order.clear()
                 self._depth = 0
-        for request, future in leftovers:
-            if not future.done():
-                future.set_result(
-                    AuthenticationResponse(
-                        request_id=request.request_id,
-                        status=STATUS_ERROR,
-                        error="broker closed before dispatch",
-                    )
-                )
+        # A caller may have cancelled a queued future; it needs no answer.
+        leftovers = [(r, f) for r, f in leftovers if not f.done()]
+        responses = self._fail(
+            [request for request, _ in leftovers],
+            "broker closed before dispatch",
+        )
+        for (_, future), response in zip(leftovers, responses):
+            future.set_result(response)
         dispatcher = self._dispatcher
         if dispatcher is not None and dispatcher.is_alive():
             dispatcher.join(timeout=self.config.drain_timeout_s)

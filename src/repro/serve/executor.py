@@ -19,31 +19,28 @@ backends share the same worker logic:
     bundle is shipped once per worker via the pool initializer.
 
 Each worker authenticates at full fidelity first and, on failure, walks
-the :mod:`~repro.serve.degradation` ladder before giving up.  The parent
-process records per-request outcomes into :mod:`repro.core.telemetry`
-(``echoimage_serve_*`` families) and wraps every batch in a
-``serve.batch`` trace span.
+the :mod:`~repro.serve.degradation` ladder before giving up.  Every
+batch runs inside a ``serve.batch`` (or ``serve.stream``) trace span;
+once it is settled, :func:`repro.serve.outcomes.record_outcomes` feeds
+each response to the metrics, capture store, audit ledger, sentinel and
+flight recorder, in the parent process.
 
 **Cross-worker telemetry propagation.**  Serial and thread workers
-record pipeline metrics and traces straight into the parent's global
-registry/sinks.  Process workers cannot — their increments land in the
-worker interpreter and would be silently lost — so ``_process_run``
-collects each request's telemetry into a fresh per-request registry and
-ships the delta (plus the serialised traces) back piggybacked on the
-:class:`~repro.serve.requests.AuthenticationResponse`; the parent merges
-the delta into its registry and replays the traces through the sink API,
-making all three backends report identical totals.
-
-**Flight recorder.**  Every completed batch is written into the
-process-wide :class:`~repro.obs.FlightRecorder` (request records plus
-timeout/degradation/drift/crash events); a batch containing failures
-triggers an automatic black-box dump when the recorder has a dump path
-configured.
+record pipeline metrics, traces and captures straight into the parent's
+global registry, sinks and capture store.  Process workers cannot —
+their increments land in the worker interpreter and would be silently
+lost — so ``_process_run`` serves each request against a fresh
+registry, a trace-collecting sink and (when the parent captures) an
+in-memory capture store, and ships what they collected home as the
+response's one :class:`~repro.serve.requests.WorkerTelemetry` payload.
+The parent merges the metric delta into its registry, replays the
+traces through the sink API and records the captures into its store,
+then strips the payload, making all three backends report identical
+totals.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from concurrent.futures import (
     Executor,
@@ -58,7 +55,6 @@ from typing import Callable
 
 from repro.config import EchoImageConfig, ExitPolicy, ServingConfig
 from repro.core.pipeline import EchoImagePipeline
-from repro.core.telemetry import pipeline_metrics
 from repro.obs import (
     CaptureStore,
     FlightRecorder,
@@ -68,11 +64,9 @@ from repro.obs import (
     correlation_scope,
     emit_trace,
     ensure_trace,
-    get_audit_ledger,
     get_capture_store,
     get_flight_recorder,
     get_registry,
-    get_security_sentinel,
     metrics_enabled,
     remove_sink,
     set_capture_store,
@@ -81,6 +75,7 @@ from repro.obs import (
 )
 from repro.serve.bundle import ModelBundle
 from repro.serve.degradation import DegradationPolicy, DegradationStep
+from repro.serve.outcomes import record_outcomes
 from repro.serve.requests import (
     STATUS_DEGRADED,
     STATUS_ERROR,
@@ -88,6 +83,7 @@ from repro.serve.requests import (
     STATUS_TIMEOUT,
     AuthenticationRequest,
     AuthenticationResponse,
+    WorkerTelemetry,
 )
 
 #: Signature of the pipeline-construction seam: ``(bundle, config,
@@ -236,39 +232,35 @@ def _process_run(
 ) -> AuthenticationResponse:
     """Serve one request in a worker interpreter, capturing telemetry.
 
-    The request runs against a fresh, empty metrics registry and a
-    trace-collecting sink, so the registry snapshot afterwards *is* the
-    request's metric delta.  Both ride back to the parent on the
-    response (see ``BatchAuthenticator._finalize_response``).  When the
-    parent has a capture store installed it asks for ``capture``: the
-    request then also runs against a fresh in-memory
-    :class:`~repro.obs.CaptureStore`, whose drained captures ride home
-    on ``capture_payloads`` the same way the metric delta does.
+    The request runs against a fresh, empty metrics registry, a
+    trace-collecting sink and — when the parent has a capture store
+    installed and asks for ``capture`` — a fresh in-memory
+    :class:`~repro.obs.CaptureStore`.  The registry snapshot afterwards
+    *is* the request's metric delta; it rides home with the completed
+    traces and the drained captures as the response's one
+    :class:`~repro.serve.requests.WorkerTelemetry` payload (see
+    ``BatchAuthenticator._finalize_response``).
     """
     assert _PROCESS_RUNTIME is not None, "pool initializer did not run"
     fresh = MetricsRegistry()
-    captured: list[PipelineTrace] = []
+    traces: list[PipelineTrace] = []
+    store = CaptureStore(max_captures=4) if capture else None
     previous = set_registry(fresh)
-    capture_payloads: tuple = ()
-    memory_store = CaptureStore(max_captures=4) if capture else None
-    previous_store = (
-        set_capture_store(memory_store) if capture else None
-    )
-    add_sink(captured.append)
+    previous_store = set_capture_store(store)
+    add_sink(traces.append)
     try:
         response = _PROCESS_RUNTIME.run(request, exit_policy)
     finally:
-        remove_sink(captured.append)
-        if capture:
-            set_capture_store(previous_store)
+        remove_sink(traces.append)
+        set_capture_store(previous_store)
         set_registry(previous)
-    if memory_store is not None:
-        capture_payloads = tuple(memory_store.drain())
     return replace(
         response,
-        metrics_delta=fresh.snapshot(),
-        worker_traces=tuple(t.to_dict() for t in captured if t),
-        capture_payloads=capture_payloads,
+        telemetry=WorkerTelemetry(
+            metrics=fresh.snapshot(),
+            traces=tuple(t for t in traces if t),
+            captures=tuple(store.drain()) if store is not None else (),
+        ),
     )
 
 
@@ -409,7 +401,10 @@ class BatchAuthenticator:
     # -- serving -------------------------------------------------------
 
     def authenticate_batch(
-        self, requests: list[AuthenticationRequest]
+        self,
+        requests: list[AuthenticationRequest],
+        *,
+        via: str | None = None,
     ) -> list[AuthenticationResponse]:
         """Serve a batch; one response per request, in input order.
 
@@ -417,13 +412,18 @@ class BatchAuthenticator:
         still unfinished when it expires come back with status
         ``"timeout"``.  A worker failure never raises here — it becomes
         a structured ``"error"`` response for that request only.
+        ``via`` names how the requests entered the system (the
+        :class:`~repro.serve.broker.RequestBroker` passes ``"broker"``)
+        and is stamped on their captures.
         """
-        return self._serve(list(requests), None, "serve.batch")
+        return self._serve(list(requests), None, "serve.batch", via)
 
     def authenticate_streaming(
         self,
         requests: list[AuthenticationRequest],
         exit_policy: ExitPolicy | None = None,
+        *,
+        via: str | None = None,
     ) -> list[AuthenticationResponse]:
         """Serve a batch through the streaming early-exit path.
 
@@ -437,13 +437,14 @@ class BatchAuthenticator:
         response carries both ``early_exit`` and ``degradation``.
         """
         policy = exit_policy or ExitPolicy()
-        return self._serve(list(requests), policy, "serve.stream")
+        return self._serve(list(requests), policy, "serve.stream", via)
 
     def _serve(
         self,
         requests: list[AuthenticationRequest],
         exit_policy: ExitPolicy | None,
         span_name: str,
+        via: str | None,
     ) -> list[AuthenticationResponse]:
         with ensure_trace() as batch_trace, trace(
             span_name,
@@ -462,11 +463,16 @@ class BatchAuthenticator:
                     outcomes.get(response.status, 0) + 1
                 )
             span.update(**{f"num_{k}": v for k, v in outcomes.items()})
-            self._record_batch(
-                requests, responses, streaming=exit_policy is not None
-            )
-        if requests:
-            self._record_flight(responses, batch_trace)
+        record_outcomes(
+            requests,
+            responses,
+            backend=self.config.backend,
+            streaming=exit_policy is not None,
+            via=via,
+            recorder=self.recorder,
+            bundle=self.bundle,
+            batch_trace=batch_trace,
+        )
         return responses
 
     def _serve_serial(
@@ -533,35 +539,28 @@ class BatchAuthenticator:
     def _finalize_response(
         self, response: AuthenticationResponse
     ) -> AuthenticationResponse:
-        """Apply (and strip) a process worker's telemetry piggyback.
+        """Apply (and strip) a process worker's telemetry payload.
 
         The worker's metric delta is merged into the parent's global
         registry — counters and histograms add, gauges are last-write —
-        and its traces are replayed through the parent's sink API, so
-        the ``process`` backend reports the same totals as ``serial``
-        and ``thread``.  Thread/serial responses carry no piggyback and
-        pass through untouched.
+        its traces are replayed through the parent's sink API and its
+        captures are recorded into the parent's capture store, so the
+        ``process`` backend reports the same totals as ``serial`` and
+        ``thread``.  Thread/serial responses carry no payload and pass
+        through untouched.
         """
-        if (
-            response.metrics_delta is None
-            and not response.worker_traces
-            and not response.capture_payloads
-        ):
+        telemetry = response.telemetry
+        if telemetry is None:
             return response
-        if response.metrics_delta is not None and metrics_enabled():
-            get_registry().merge(response.metrics_delta)
-        for trace_document in response.worker_traces:
-            emit_trace(PipelineTrace.from_dict(trace_document))
+        if metrics_enabled():
+            get_registry().merge(telemetry.metrics)
+        for worker_trace in telemetry.traces:
+            emit_trace(worker_trace)
         store = get_capture_store()
         if store is not None:
-            for payload in response.capture_payloads:
-                store.record(payload)
-        return replace(
-            response,
-            metrics_delta=None,
-            worker_traces=(),
-            capture_payloads=(),
-        )
+            for capture in telemetry.captures:
+                store.record(capture)
+        return replace(response, telemetry=None)
 
     def _timeout_response(
         self, request: AuthenticationRequest
@@ -574,203 +573,3 @@ class BatchAuthenticator:
                 f"{self.config.timeout_s}s"
             ),
         )
-
-    def _record_batch(
-        self,
-        requests: list[AuthenticationRequest],
-        responses: list[AuthenticationResponse],
-        streaming: bool = False,
-    ) -> None:
-        """Parent-side telemetry: counters, exemplars and audit entries.
-
-        Audit entries are written here — once per response, in the
-        parent — rather than inside the workers, so all three backends
-        produce exactly one ledger entry per request and the ledger
-        file never sees concurrent multi-process appends.  Responses
-        arrive in input order, so zipping against the requests recovers
-        each response's tenant for the per-tenant counter label and the
-        security sentinel's detectors.
-        """
-        metrics = pipeline_metrics()
-        ledger = get_audit_ledger()
-        sentinel = get_security_sentinel()
-        store = get_capture_store()
-        bundle_hash = (
-            store.ensure_bundle(self.bundle) if store is not None else None
-        )
-        for request, response in zip(requests, responses):
-            if store is not None:
-                # The worker recorded the pipeline-level capture (or
-                # shipped it home); the parent owns the bundle and the
-                # serving context, so it annotates — and stashes the
-                # bundle content-addressed so the capture directory is
-                # self-contained for offline replay.
-                store.annotate(
-                    response.request_id,
-                    bundle_hash=bundle_hash,
-                    degradation=response.degradation,
-                    tenant=request.tenant,
-                    backend=self.config.backend,
-                )
-            if metrics is not None:
-                metrics.serve_requests.labels(
-                    outcome=response.status,
-                    tenant=metrics.tenant_label(request.tenant),
-                ).inc()
-                if response.degradation is not None:
-                    metrics.serve_degradations.labels(
-                        step=response.degradation
-                    ).inc()
-                if response.latency_s is not None:
-                    metrics.serve_request_latency.labels().observe(
-                        response.latency_s,
-                        exemplar={
-                            "request_id": response.request_id,
-                            "value": response.latency_s,
-                        },
-                    )
-                if streaming and response.beeps_used is not None:
-                    metrics.stream_exits.labels(
-                        stage="early" if response.early_exit else "full"
-                    ).inc()
-                    metrics.stream_beeps_used.observe(
-                        float(response.beeps_used)
-                    )
-            if ledger is not None:
-                self._audit_response(ledger, response)
-            if sentinel is not None:
-                self._sentinel_observe(sentinel, request, response)
-
-    @staticmethod
-    def _sentinel_observe(sentinel, request, response) -> None:
-        """Feed one decision into the security sentinel's detectors.
-
-        The best (highest) finite SVDD score is what an adaptive
-        attacker optimises against the gate, so that is the probing
-        signal; identified users enter the fan-out tracker only on
-        accepted attempts, keeping spoofer labels out of it.
-        """
-        result = response.result
-        if result is None:
-            return
-        finite = [float(s) for s in result.scores if math.isfinite(s)]
-        sentinel.observe_auth(
-            accepted=bool(result.accepted),
-            tenant=request.tenant,
-            user=str(result.label) if result.accepted else None,
-            score=max(finite) if finite else None,
-            request_id=response.request_id,
-        )
-
-    def _audit_response(self, ledger, response) -> None:
-        """Append one response's decision context to the audit ledger."""
-        from repro.obs.envinfo import environment_fingerprint
-
-        result = response.result
-        if result is not None:
-            decision = "accept" if result.accepted else "reject"
-        else:
-            decision = response.status
-        fields: dict = {
-            "status": response.status,
-            "decision": decision,
-            "backend": self.config.backend,
-            "environment": environment_fingerprint(),
-        }
-        if result is not None:
-            fields["user"] = str(result.label)
-            fields["svdd_scores"] = [float(s) for s in result.scores]
-            # NaN marks beeps the SVDD gate rejected; JSON has no NaN.
-            fields["svm_margins"] = [
-                float(m) if math.isfinite(m) else None
-                for m in result.margins
-            ]
-            fields["distance_m"] = float(result.distance.user_distance_m)
-        if response.degradation is not None:
-            fields["degradation"] = response.degradation
-        if response.beeps_used is not None:
-            # The beeps the decision actually consumed — the degraded
-            # (shortened) attempt length, or the streaming exit point.
-            fields["beeps_used"] = int(response.beeps_used)
-        if response.early_exit:
-            fields["early_exit"] = True
-        if response.latency_s is not None:
-            fields["latency_s"] = response.latency_s
-        if response.error is not None:
-            fields["error"] = response.error
-        ledger.append("serve", response.request_id, **fields)
-
-    def _record_flight(
-        self,
-        responses: list[AuthenticationResponse],
-        batch_trace: PipelineTrace | None,
-    ) -> None:
-        """Write the batch into the flight recorder; dump on failure.
-
-        Every response becomes a request record (timed-out/errored
-        requests have no worker trace, so they carry the enclosing
-        ``serve.batch`` trace as their decision context); timeouts,
-        errors, degradations and drift alerts become structured events.
-        A batch containing timeouts or errors triggers an automatic
-        black-box dump when the recorder has a dump path configured.
-        """
-        recorder = self.recorder
-        batch_document = batch_trace.to_dict() if batch_trace else None
-        failed: list[str] = []
-        for response in responses:
-            trace_document = None
-            if response.result is not None and response.result.trace:
-                trace_document = response.result.trace.to_dict()
-            elif response.status in (STATUS_TIMEOUT, STATUS_ERROR):
-                trace_document = batch_document
-            recorder.record_request(
-                response.request_id,
-                response.status,
-                latency_s=response.latency_s,
-                degradation=response.degradation,
-                error=response.error,
-                trace=trace_document,
-            )
-            if response.status == STATUS_TIMEOUT:
-                failed.append(response.request_id)
-                recorder.record_event(
-                    "timeout",
-                    request_id=response.request_id,
-                    error=response.error,
-                    backend=self.config.backend,
-                )
-            elif response.status == STATUS_ERROR:
-                failed.append(response.request_id)
-                recorder.record_event(
-                    "worker_error",
-                    request_id=response.request_id,
-                    error=response.error,
-                    backend=self.config.backend,
-                )
-            elif response.degradation is not None:
-                recorder.record_event(
-                    "degradation",
-                    request_id=response.request_id,
-                    step=response.degradation,
-                )
-            elif response.early_exit:
-                recorder.record_event(
-                    "early_exit",
-                    request_id=response.request_id,
-                    beeps_used=response.beeps_used,
-                )
-            if response.result is not None:
-                for alert in response.result.drift_alerts:
-                    recorder.record_event(
-                        "drift_alert",
-                        request_id=response.request_id,
-                        monitor=alert.monitor,
-                        alert_kind=alert.kind,
-                        message=alert.message,
-                    )
-        if failed:
-            recorder.auto_dump(
-                "batch contained failed requests",
-                request_ids=failed,
-                backend=self.config.backend,
-            )

@@ -9,6 +9,7 @@ returns one :class:`AuthenticationResponse` per request in input order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.acoustics.scene import BeepRecording
 from repro.core.pipeline import AuthenticationResult
@@ -81,9 +82,32 @@ class AuthenticationRequest:
         return len(self.recordings)
 
 
+class WorkerTelemetry(NamedTuple):
+    """What a ``process`` worker observed while serving one request.
+
+    Attributes:
+        metrics: The worker's metric increments, as a
+            :meth:`repro.obs.MetricsRegistry.snapshot` document.
+        traces: The :class:`~repro.obs.PipelineTrace` objects completed
+            in the worker.
+        captures: The :class:`~repro.obs.RequestCapture` objects
+            recorded in the worker; empty unless the parent has a
+            capture store installed.
+    """
+
+    metrics: dict
+    traces: tuple
+    captures: tuple
+
+
 @dataclass(frozen=True)
 class AuthenticationResponse:
     """Outcome of one served request.
+
+    Every response the serving layer resolves — served, timed out,
+    failed or shed — passes once through
+    :func:`repro.serve.outcomes.record_outcomes`, which feeds the
+    installed observers, before its caller sees it.
 
     Attributes:
         request_id: Echo of the request's identifier.
@@ -95,17 +119,6 @@ class AuthenticationResponse:
             result, for ``degraded`` responses.
         latency_s: Wall time spent on the request inside the worker;
             ``None`` when the request timed out in the queue.
-        metrics_delta: Telemetry piggyback used by the ``process``
-            backend: the worker's metric increments for this request as
-            a :meth:`repro.obs.MetricsRegistry.snapshot` document.  The
-            parent merges it into the global registry and strips the
-            field before the response reaches callers, so serial,
-            thread and process backends report identical totals.
-        worker_traces: Telemetry piggyback used by the ``process``
-            backend: the serialised
-            :class:`~repro.obs.PipelineTrace` documents completed in
-            the worker while serving this request.  Replayed through
-            the parent's trace sinks, then stripped.
         shed_reason: Why the broker refused a ``shed`` response
             (``"capacity"`` or ``"slo_burn"``); ``None`` otherwise.
         beeps_used: Beeps the decision actually consumed; ``None`` when
@@ -116,13 +129,11 @@ class AuthenticationResponse:
             beep.  Mutually exclusive with ``degradation`` by
             construction: degraded retries run the non-streaming
             pipeline, so a response never carries both.
-        capture_payloads: Capture piggyback used by the ``process``
-            backend when the parent has a
-            :class:`~repro.obs.CaptureStore` installed: the
-            :class:`~repro.obs.RequestCapture` objects recorded in the
-            worker while serving this request.  Recorded into the
-            parent's store, then stripped — mirroring
-            ``metrics_delta``/``worker_traces``.
+        telemetry: The ``process`` backend's :class:`WorkerTelemetry`
+            payload.  The parent applies it to its registry, trace sinks
+            and capture store and strips the field before the response
+            reaches callers, so serial, thread and process backends
+            report identical totals.
     """
 
     request_id: str
@@ -131,12 +142,10 @@ class AuthenticationResponse:
     error: str | None = None
     degradation: str | None = None
     latency_s: float | None = None
-    metrics_delta: dict | None = None
-    worker_traces: tuple = ()
     shed_reason: str | None = None
     beeps_used: int | None = None
     early_exit: bool = False
-    capture_payloads: tuple = ()
+    telemetry: WorkerTelemetry | None = None
 
     def __post_init__(self) -> None:
         if self.status not in STATUSES:

@@ -63,7 +63,7 @@ class TestRecordDigest:
 
     def test_collector_keeps_digests_and_array_copies(self):
         with start_trace(), trace("authenticate") as root:
-            collector = StageCollector(root, capture_arrays=True)
+            collector = StageCollector(root)
             source = np.arange(4.0)
             collector.stamp("features", source)
             collector.stamp("labels", ["1", "-1"])
@@ -71,13 +71,6 @@ class TestRecordDigest:
         assert collector.arrays["features"][0] == 0.0
         assert set(collector.digests) == {"features", "labels"}
         assert "labels" not in collector.arrays  # only arrays are kept
-
-    def test_collector_without_arrays_keeps_digests_only(self):
-        with start_trace(), trace("authenticate") as root:
-            collector = StageCollector(root, capture_arrays=False)
-            collector.stamp("features", np.arange(4.0))
-        assert collector.digests
-        assert collector.arrays == {}
 
 
 def make_capture(request_id, **overrides):

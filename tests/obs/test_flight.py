@@ -2,6 +2,7 @@
 
 import json
 import threading
+import tracemalloc
 
 import pytest
 
@@ -68,9 +69,33 @@ class TestTraces:
             with trace("authenticate", num_beeps=2):
                 pass
         rec = FlightRecorder()
-        record = rec.record_request("a", "ok", trace=t)
+        rec.record_request("a", "ok", trace=t)
+        (record,) = rec.requests()
         assert record["trace"]["spans"][0]["name"] == "authenticate"
-        json.dumps(record)  # must already be JSON-serialisable
+        json.dumps(record)  # serialised on the way out
+        json.dumps(rec.to_dict())
+
+    def test_live_traces_are_kept_not_copied(self):
+        # A full ring of served traces (25 spans each, like a 4-beep
+        # attempt) must cost the ring its records, not a serialised
+        # second copy of every trace the responses already hold.
+        traces = []
+        for _ in range(256):
+            with start_trace() as t:
+                for index in range(25):
+                    with trace("stream.beep", beep_index=index):
+                        pass
+            traces.append(t)
+        rec = FlightRecorder(max_requests=256)
+        tracemalloc.start()
+        try:
+            for i, t in enumerate(traces):
+                rec.record_request(f"req-{i}", "ok", latency_s=0.01, trace=t)
+            allocated, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert allocated < 0.5 * 2**20
+        assert rec.requests()[-1]["trace"] == traces[-1].to_dict()
 
     def test_trace_dict_is_stored_as_is(self):
         rec = FlightRecorder()

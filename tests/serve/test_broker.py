@@ -71,10 +71,10 @@ class ScriptedAuthenticator:
             for r in requests
         ]
 
-    def authenticate_batch(self, requests):
+    def authenticate_batch(self, requests, via=None):
         return self._respond(requests)
 
-    def authenticate_streaming(self, requests, exit_policy=None):
+    def authenticate_streaming(self, requests, exit_policy=None, via=None):
         self.streaming_batches += 1
         return self._respond(requests)
 
@@ -82,8 +82,41 @@ class ScriptedAuthenticator:
 class FailingAuthenticator(ScriptedAuthenticator):
     """Raises wholesale out of dispatch — the broker must absorb it."""
 
-    def authenticate_batch(self, requests):
+    def authenticate_batch(self, requests, via=None):
         raise RuntimeError("authenticator exploded")
+
+
+@pytest.fixture()
+def observed():
+    """A fresh registry and flight recorder, installed for one test."""
+    registry, recorder = MetricsRegistry(), FlightRecorder()
+    previous_registry = set_registry(registry)
+    previous_recorder = set_flight_recorder(recorder)
+    try:
+        yield registry, recorder
+    finally:
+        set_registry(previous_registry)
+        set_flight_recorder(previous_recorder)
+
+
+def assert_errors_observed(observed, responses):
+    """The broker's own error responses reach the metrics and recorder:
+    one ``error`` count and one ``worker_error`` event per response."""
+    registry, recorder = observed
+    family = registry.get("echoimage_serve_requests_total")
+    counted = sum(
+        child.value
+        for labels, child in family.samples()
+        if labels["outcome"] == STATUS_ERROR
+    )
+    assert counted == len(responses)
+    events = recorder.events(kind="worker_error")
+    assert sorted(e["request_id"] for e in events) == sorted(
+        r.request_id for r in responses
+    )
+    records = {r["request_id"]: r["status"] for r in recorder.requests()}
+    for response in responses:
+        assert records[response.request_id] == STATUS_ERROR
 
 
 def plug_dispatcher(broker, gate):
@@ -263,7 +296,7 @@ class TestDispatch:
         assert response.status == STATUS_OK
         assert auth.streaming_batches == 1
 
-    def test_authenticator_exception_becomes_error_responses(self):
+    def test_authenticator_exception_becomes_error_responses(self, observed):
         broker = RequestBroker(
             FailingAuthenticator(), BrokerConfig(capacity=4, dispatch_batch=4)
         )
@@ -283,6 +316,33 @@ class TestDispatch:
             assert "authenticator exploded" in response.error
         assert broker.served == 2
         assert broker.pending == 0
+        assert_errors_observed(observed, [first, second])
+
+
+    def test_broken_observer_does_not_stop_dispatch(self, tmp_path):
+        # The failure auto-dump cannot be written: observing the error
+        # responses raises, yet every caller gets its answer and the
+        # dispatch loop keeps serving.
+        recorder = FlightRecorder(
+            auto_dump_path=str(tmp_path / "missing" / "box.json")
+        )
+        previous = set_flight_recorder(recorder)
+        broker = RequestBroker(
+            FailingAuthenticator(), BrokerConfig(capacity=4, dispatch_batch=4)
+        )
+        try:
+            responses = [
+                broker.authenticate(
+                    AuthenticationRequest(f"broken-{i}", DUMMY_BEEPS),
+                    timeout=GUARD_S,
+                )
+                for i in range(2)
+            ]
+        finally:
+            run_guarded(broker.close)
+            set_flight_recorder(previous)
+        assert [r.status for r in responses] == [STATUS_ERROR] * 2
+        assert broker.pending == 0
 
 
 class TestLifecycle:
@@ -293,7 +353,9 @@ class TestLifecycle:
         with pytest.raises(RuntimeError, match="broker is closed"):
             broker.submit(AuthenticationRequest("late", DUMMY_BEEPS))
 
-    def test_close_without_drain_resolves_leftovers_with_errors(self):
+    def test_close_without_drain_resolves_leftovers_with_errors(
+        self, observed
+    ):
         gate = threading.Event()
         auth = ScriptedAuthenticator(gate)
         broker = RequestBroker(
@@ -306,11 +368,12 @@ class TestLifecycle:
             for i in range(3)
         ]
         run_guarded(lambda: broker.close(drain=False))
-        for i, future in enumerate(leftovers):
-            response = future.result(GUARD_S)
+        responses = [future.result(GUARD_S) for future in leftovers]
+        for i, response in enumerate(responses):
             assert response.request_id == f"left-{i}"
             assert response.status == STATUS_ERROR
             assert response.error == "broker closed before dispatch"
+        assert_errors_observed(observed, responses)
         # The in-flight plug still completes once the gate releases.
         gate.set()
         assert plug.result(GUARD_S).status == STATUS_OK

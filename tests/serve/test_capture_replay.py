@@ -224,11 +224,20 @@ class TestIdentifyReplay:
 
 class TestBrokerAnnotation:
     def test_brokered_requests_annotated_via_broker(
-        self, enrolled, bundle, capture_store
+        self, enrolled, bundle, capture_store, monkeypatch
     ):
         from repro.config import BrokerConfig
+        from repro.io import storage
         from repro.serve import RequestBroker
 
+        writes: list[str] = []
+        write_bytes_atomic = storage.write_bytes_atomic
+
+        def counting_write(path, data):
+            writes.append(str(path))
+            return write_bytes_atomic(path, data)
+
+        monkeypatch.setattr(storage, "write_bytes_atomic", counting_write)
         _, recordings = enrolled
         auth = BatchAuthenticator(bundle, ServingConfig(backend="serial"))
         broker = RequestBroker(
@@ -245,6 +254,10 @@ class TestBrokerAnnotation:
             auth.close()
         capture = capture_store.get("req-brokered")
         assert capture.via == "broker"
+        # Recorded once by the pipeline, annotated once by the serving
+        # fan-out: the capture file is written at most twice.
+        capture_writes = [p for p in writes if p.endswith(".capture.pkl")]
+        assert 1 <= len(capture_writes) <= 2
         # Brokered captures replay like any other.
         report = replay_request(
             capture, capture_store.load_bundle(capture.bundle_hash)

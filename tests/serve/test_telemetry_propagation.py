@@ -149,8 +149,7 @@ class TestBackendTotalsMatch:
             bundle, "process", make_requests(attempt, 2)
         )
         for response in responses:
-            assert response.metrics_delta is None
-            assert response.worker_traces == ()
+            assert response.telemetry is None
 
     def test_worker_traces_replay_through_parent_sinks(
         self, enrolled, bundle

@@ -124,47 +124,3 @@ class TestMonitoringConfig:
             MonitoringConfig(drift_mean_sigmas=0.0)
         with pytest.raises(ValueError):
             MonitoringConfig(drift_variance_ratio=1.0)
-
-
-class TestObservabilityConfig:
-    def test_defaults(self):
-        from repro.config import ObservabilityConfig
-
-        config = ObservabilityConfig()
-        assert config.host == "127.0.0.1"
-        assert config.port == 0  # ephemeral: safe default for tests
-        assert config.flight_dump_path is None
-
-    def test_invalid_port_and_ring_sizes(self):
-        from repro.config import ObservabilityConfig
-
-        with pytest.raises(ValueError):
-            ObservabilityConfig(port=-1)
-        with pytest.raises(ValueError):
-            ObservabilityConfig(port=65_536)
-        with pytest.raises(ValueError):
-            ObservabilityConfig(flight_max_requests=0)
-        with pytest.raises(ValueError):
-            ObservabilityConfig(flight_max_events=0)
-
-    def test_build_recorder_honours_sizes_and_dump_path(self, tmp_path):
-        from repro.config import ObservabilityConfig
-
-        path = tmp_path / "box.json"
-        recorder = ObservabilityConfig(
-            flight_max_requests=3,
-            flight_max_events=5,
-            flight_dump_path=str(path),
-        ).build_recorder()
-        assert recorder.max_requests == 3
-        assert recorder.max_events == 5
-        assert recorder.auto_dump_path == str(path)
-
-    def test_server_accepts_config(self):
-        from repro.config import ObservabilityConfig
-        from repro.obs import ObservabilityServer
-
-        config = ObservabilityConfig(host="localhost", port=0)
-        server = ObservabilityServer(config)
-        assert server.host == "localhost"
-        assert server.requested_port == 0
