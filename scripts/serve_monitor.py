@@ -3,19 +3,24 @@
 Simulates a deployed smart speaker: enroll one user, then serve a stream
 of authentication attempts (genuine visits, periodic spoofing attempts,
 optional mid-run channel degradation) while the pipeline's quality
-telemetry accumulates in the metrics registry and the drift monitors
-watch the score/SNR distributions.  One status line is printed per
-attempt; structured drift alerts are printed as JSON the moment they
-fire; the Prometheus text dump is printed every ``--dump-every`` attempts
-and at the end (write it to a file with ``--prom-file`` and point a
-Prometheus ``textfile`` collector — or ``curl``-replaying scraper — at
-it).
+telemetry accumulates in the metrics registry and the serving workers'
+drift monitors watch the score/SNR distributions.  One status line is
+printed per attempt, followed by the drift alerts its response carried
+as structured JSON; the Prometheus text dump is printed every
+``--dump-every`` attempts and at the end (write it to a file with
+``--prom-file`` and point a Prometheus ``textfile`` collector — or
+``curl``-replaying scraper — at it).
 
-With ``--backend`` the stream is served through the batch serving layer
-(:mod:`repro.serve`) instead of direct ``pipeline.authenticate`` calls:
-attempts are grouped into batches of ``--batch-size`` requests and
-dispatched to a worker pool, exercising the same bundle-sharing and
-degradation machinery a deployment would run.
+Every attempt is served through the batch serving layer
+(:mod:`repro.serve`): attempts are grouped into batches of
+``--batch-size`` requests and dispatched on the ``--backend`` worker
+pool — ``serial`` (the default) runs them in line on this thread,
+``thread`` and ``process`` on a pool — exercising the same
+bundle-sharing, degradation ladder and observer fan-out a deployment
+would run.  The metrics, flight recorder, audit ledger, sentinel and
+capture store see each decision only through that fan-out
+(:func:`repro.serve.outcomes.record_outcomes`), so they agree about
+every request.
 
 With ``--broker`` the pool is fronted by the
 :class:`repro.serve.RequestBroker`: every attempt is recorded up front
@@ -37,14 +42,15 @@ live error-budget document and ``/alerts`` the security sentinel's
 rule catalogue and alert feed.
 
 A :class:`repro.obs.SecuritySentinel` is always installed for the run:
-every decision streams through its attack-pattern detectors and any
-security alerts are printed as they fire, routed to
-``echoimage_security_alerts_total`` and served on ``/alerts``.  With
+every decision streams through its attack-pattern detectors, and its
+alerts are routed to ``echoimage_security_alerts_total``, served on
+``/alerts`` and listed at the end of the run.  With
 ``--replay-burst N`` the monitor injects a scripted replay attack
 (:func:`repro.attacks.replay_burst`) right after enrollment — N
 machine-paced replays of a recorded victim beep under request ids
-``replay-burst-0..N-1`` — which trips the ``velocity_burst`` rule and
-gives scrapers and ``scripts/incident_report.py`` a correlation id to
+``replay-burst-0..N-1``, served as one batch — which trips the
+``velocity_burst`` rule (printed right after the burst) and gives
+scrapers and ``scripts/incident_report.py`` a correlation id to
 stitch a timeline from.  The flight recorder is always on;
 ``--flight-json`` writes its black-box file at the end (pretty-print it
 with ``scripts/obs_dump.py``).  ``--audit-jsonl`` appends every decision
@@ -64,7 +70,7 @@ Run:  PYTHONPATH=src python scripts/serve_monitor.py
       PYTHONPATH=src python scripts/serve_monitor.py --backend thread \\
           --obs-port 9102 --flight-json flight.json &
       curl -s http://127.0.0.1:9102/metrics
-      PYTHONPATH=src python scripts/serve_monitor.py --backend serial \\
+      PYTHONPATH=src python scripts/serve_monitor.py \\
           --broker --broker-capacity 8 --tenants 3 --exit-threshold 0.02
 """
 
@@ -86,8 +92,8 @@ from repro.config import (
     EchoImageConfig,
     ImagingConfig,
     MonitoringConfig,
+    ServingConfig,
 )
-from repro.core.distance import DistanceEstimationError
 from repro.obs import (
     AuditLedger,
     FlightRecorder,
@@ -95,12 +101,12 @@ from repro.obs import (
     ObservabilityServer,
     SecuritySentinel,
     SLOTracker,
-    correlation_scope,
     set_audit_ledger,
     set_flight_recorder,
     set_registry,
     set_security_sentinel,
 )
+from repro.serve import AuthenticationRequest, BatchAuthenticator, ModelBundle
 from repro.signal.chirp import LFMChirp
 
 
@@ -166,10 +172,10 @@ def parse_args() -> argparse.Namespace:
         "coarse imaging resolution)",
     )
     parser.add_argument(
-        "--backend", default="direct",
-        choices=("direct", "serial", "thread", "process"),
-        help="serve attempts directly (default) or through the "
-        "repro.serve batch layer on the chosen worker-pool backend",
+        "--backend", default="serial",
+        choices=("serial", "thread", "process"),
+        help="worker-pool backend of the repro.serve batch layer: "
+        "serial (default; in line on this thread), thread or process",
     )
     parser.add_argument(
         "--workers", type=int, default=0,
@@ -177,15 +183,13 @@ def parse_args() -> argparse.Namespace:
     )
     parser.add_argument(
         "--batch-size", type=int, default=8,
-        help="requests per served batch when --backend is not 'direct' "
-        "(default 8)",
+        help="requests per served batch (default 8)",
     )
     parser.add_argument(
         "--broker", action="store_true",
         help="front the worker pool with the RequestBroker: all attempts "
         "are recorded first and then burst-submitted at once, exercising "
-        "admission control (capacity sheds), fair dequeue and drain "
-        "(requires a --backend other than 'direct')",
+        "admission control (capacity sheds), fair dequeue and drain",
     )
     parser.add_argument(
         "--broker-capacity", type=int, default=16,
@@ -251,10 +255,6 @@ def parse_args() -> argparse.Namespace:
 
 def main() -> int:
     args = parse_args()
-    if args.broker and args.backend == "direct":
-        print("--broker requires a serving backend (--backend serial/"
-              "thread/process)", file=sys.stderr)
-        return 2
     rng = np.random.default_rng(args.seed)
     registry = MetricsRegistry()
     set_registry(registry)
@@ -300,18 +300,22 @@ def main() -> int:
     )
     pipeline = EchoImagePipeline(config=config)
 
-    # Readiness: enrollment done, (when batch-serving) pool alive, and
-    # (when brokered) the broker still admitting.
+    # Readiness: enrollment done, pool alive, and (when brokered) the
+    # broker still admitting.
     state: dict = {"enrolled": False, "server": None, "broker": None}
 
     def ready() -> bool:
-        server = state["server"]
         broker = state["broker"]
         return (
             state["enrolled"]
-            and (server is None or server.alive)
+            and state["server"].alive
             and (broker is None or broker.alive)
         )
+
+    # Each serving worker owns its pipeline's drift monitors, and the
+    # enrolling pipeline never serves: the run's drift alerts are the
+    # ones the served responses carry.
+    drift_alerts: list = []
 
     obs_server = None
     if args.obs_port is not None:
@@ -321,7 +325,7 @@ def main() -> int:
             registry=registry,
             recorder=recorder,
             readiness=ready,
-            drift_source=pipeline.drift.alerts,
+            drift_source=drift_alerts.copy,
             audit_ledger=ledger,
             slo=slo,
             sentinel=sentinel,
@@ -348,33 +352,16 @@ def main() -> int:
         f"std {baseline.std:.4f} over {baseline.count} enrollment scores\n"
     )
 
-    direct_bundle_hash = None
-    if capture_store is not None and args.backend == "direct":
-        from repro.serve import ModelBundle
-
-        # The serving backends content-address their bundle inside
-        # repro.serve; the direct path must do it by hand so its
-        # captures are replayable too.
-        direct_bundle_hash = capture_store.ensure_bundle(
-            ModelBundle.from_pipeline(pipeline)
-        )
-        print(f"[capture bundle content hash {direct_bundle_hash}]\n")
-
-    server = None
-    if args.backend != "direct":
-        from repro.config import ServingConfig
-        from repro.serve import BatchAuthenticator, ModelBundle
-
-        server = BatchAuthenticator(
-            ModelBundle.from_pipeline(pipeline),
-            ServingConfig(backend=args.backend, max_workers=args.workers),
-        )
-        state["server"] = server
-        print(
-            f"serving through repro.serve: backend={args.backend}, "
-            f"workers={args.workers or 'auto'}, "
-            f"batch size {args.batch_size}\n"
-        )
+    server = BatchAuthenticator(
+        ModelBundle.from_pipeline(pipeline),
+        ServingConfig(backend=args.backend, max_workers=args.workers),
+    )
+    state["server"] = server
+    print(
+        f"serving through repro.serve: backend={args.backend}, "
+        f"workers={args.workers or 'auto'}, "
+        f"batch size {args.batch_size}\n"
+    )
 
     broker = None
     if args.broker:
@@ -407,23 +394,7 @@ def main() -> int:
             f"tenants {max(1, args.tenants)}, early exit {exit_note}\n"
         )
 
-    state["enrolled"] = True  # bundle (if any) loaded: /readyz goes 200
-
-    def observe_direct(result, request_id, tenant="default"):
-        """Feed a direct-path decision into the sentinel's detectors.
-
-        Mirrors the serving layer's hook: the batch/broker paths feed
-        the sentinel from inside ``repro.serve``; direct calls must do
-        it here.
-        """
-        finite = [float(s) for s in result.scores if np.isfinite(s)]
-        return sentinel.observe_auth(
-            accepted=bool(result.accepted),
-            tenant=tenant,
-            user=str(result.label) if result.accepted else None,
-            score=max(finite) if finite else None,
-            request_id=request_id,
-        )
+    state["enrolled"] = True  # bundle loaded: /readyz goes 200
 
     if args.replay_burst:
         from repro.attacks import replay_burst
@@ -439,35 +410,17 @@ def main() -> int:
             scene.record_beeps(chirp, [step.body] * args.beeps, rng)
             for step in steps
         ]
-        if server is not None:
-            from repro.serve import AuthenticationRequest
-
-            # One batch: the decisions finalize back-to-back, so the
-            # sentinel sees the burst at machine pacing.
-            server.authenticate_batch(
-                [
-                    AuthenticationRequest(
-                        rid, tuple(recs), tenant="tenant-replay"
-                    )
-                    for rid, recs in zip(burst_ids, burst_recordings)
-                ]
-            )
-        else:
-            results = []
-            for rid, recordings in zip(burst_ids, burst_recordings):
-                with correlation_scope(rid):
-                    result = pipeline.authenticate(recordings)
-                recorder.record_request(rid, "ok", trace=result.trace)
-                if capture_store is not None:
-                    capture_store.annotate(
-                        rid,
-                        bundle_hash=direct_bundle_hash,
-                        backend="direct",
-                        tenant="tenant-replay",
-                    )
-                results.append((rid, result))
-            for rid, result in results:  # feed back-to-back
-                observe_direct(result, rid, tenant="tenant-replay")
+        # One batch: the decisions finalize back-to-back, so the
+        # sentinel sees the burst at machine pacing.
+        responses = server.authenticate_batch(
+            [
+                AuthenticationRequest(rid, tuple(recs), tenant="tenant-replay")
+                for rid, recs in zip(burst_ids, burst_recordings)
+            ]
+        )
+        for response in responses:
+            if response.result is not None:
+                drift_alerts.extend(response.result.drift_alerts)
         for alert in sentinel.alerts()[before:]:
             print(f"       SECURITY {json.dumps(alert.to_dict())}")
         print(
@@ -475,7 +428,11 @@ def main() -> int:
             f"{len(sentinel.alerts()) - before}]\n"
         )
 
-    def print_attempt(attempt, spoofing, result, note=""):
+    def print_attempt(attempt, spoofing, response, note=""):
+        if not response.ok:
+            print(f"[{attempt:4d}] {response.status} ({response.error})")
+            return
+        result = response.result
         mean_score = float(np.mean(result.scores))
         print(
             f"[{attempt:4d}] {'spoof' if spoofing else 'user '} -> "
@@ -483,29 +440,23 @@ def main() -> int:
             f"score {mean_score:+.4f}  "
             f"snr {result.distance.echo_snr_db:5.1f} dB{note}"
         )
+        drift_alerts.extend(result.drift_alerts)
         for alert in result.drift_alerts:
             print(f"       DRIFT {json.dumps(alert.to_dict())}")
 
     def flush_batch(pending):
-        from repro.serve import AuthenticationRequest
-
         requests = [
             AuthenticationRequest(str(attempt), tuple(recordings))
             for attempt, _, recordings in pending
         ]
         responses = server.authenticate_batch(requests)
         for (attempt, spoofing, _), response in zip(pending, responses):
-            if not response.ok:
-                print(
-                    f"[{attempt:4d}] {response.status} ({response.error})"
-                )
-                continue
             note = (
                 f"  [degraded: {response.degradation}]"
                 if response.degradation
                 else ""
             )
-            print_attempt(attempt, spoofing, response.result, note)
+            print_attempt(attempt, spoofing, response, note)
         pending.clear()
 
     started = time.time()
@@ -523,8 +474,6 @@ def main() -> int:
             chirp, subject.beep_clouds(0.7, args.beeps, rng), rng
         )
         if broker is not None:
-            from repro.serve import AuthenticationRequest
-
             workload.append(
                 (
                     attempt,
@@ -536,50 +485,10 @@ def main() -> int:
                     ),
                 )
             )
-        elif server is not None:
+        else:
             pending.append((attempt, spoofing, recordings))
             if len(pending) >= args.batch_size:
                 flush_batch(pending)
-        else:
-            with correlation_scope() as request_id:
-                try:
-                    result = pipeline.authenticate(recordings)
-                except DistanceEstimationError as error:
-                    recorder.record_request(
-                        request_id, "error", error=repr(error)
-                    )
-                    if ledger is not None:
-                        ledger.append(
-                            "authenticate", request_id,
-                            decision="error", error=repr(error),
-                        )
-                    print(f"[{attempt:4d}] no-echo reject ({error})")
-                    continue
-                recorder.record_request(request_id, "ok", trace=result.trace)
-                if capture_store is not None:
-                    capture_store.annotate(
-                        request_id,
-                        bundle_hash=direct_bundle_hash,
-                        backend="direct",
-                    )
-                for alert in observe_direct(result, request_id):
-                    print(f"       SECURITY {json.dumps(alert.to_dict())}")
-                if ledger is not None:
-                    ledger.append(
-                        "authenticate", request_id,
-                        user=str(result.label),
-                        decision="accept" if result.accepted else "reject",
-                        svdd_scores=[float(s) for s in result.scores],
-                    )
-                for alert in result.drift_alerts:
-                    recorder.record_event(
-                        "drift_alert",
-                        request_id=request_id,
-                        monitor=alert.monitor,
-                        alert_kind=alert.kind,
-                        message=alert.message,
-                    )
-                print_attempt(attempt, spoofing, result)
         if args.dump_every and attempt % args.dump_every == 0:
             print("\n" + registry.render_prometheus())
     if broker is not None:
@@ -603,34 +512,30 @@ def main() -> int:
             if response.status == STATUS_SHED:
                 shed += 1
                 print(f"[{attempt:4d}] shed ({response.shed_reason})")
-            elif not response.ok:
-                print(f"[{attempt:4d}] {response.status} ({response.error})")
-            else:
-                note = ""
-                if response.early_exit:
-                    note = f"  [early exit after {response.beeps_used} beeps]"
-                elif response.degradation:
-                    note = f"  [degraded: {response.degradation}]"
-                print_attempt(attempt, spoofing, response.result, note)
+                continue
+            note = ""
+            if response.early_exit:
+                note = f"  [early exit after {response.beeps_used} beeps]"
+            elif response.degradation:
+                note = f"  [degraded: {response.degradation}]"
+            print_attempt(attempt, spoofing, response, note)
         print(
             f"\n[broker: served {broker.served}, shed {shed} "
             f"{broker.shed_counts}, drained="
             f"{'yes' if drained else 'NO'}, stuck {stuck}]"
         )
         broker.close()
-    if server is not None:
-        if pending:
-            flush_batch(pending)
-        server.close()
+    if pending:
+        flush_batch(pending)
+    server.close()
 
     elapsed = time.time() - started
     print(
         f"\nServed {args.attempts} attempts in {elapsed:.1f}s "
         f"({elapsed / args.attempts * 1e3:.0f} ms/attempt)"
     )
-    alerts = pipeline.drift.alerts()
-    print(f"drift alerts raised: {len(alerts)}")
-    for alert in alerts:
+    print(f"drift alerts raised: {len(drift_alerts)}")
+    for alert in drift_alerts:
         print(f"  {alert.message}")
     security = sentinel.alerts()
     print(f"security alerts raised: {len(security)}")

@@ -381,9 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--audit-jsonl",
         metavar="FILE",
         default=None,
-        help="append every authentication/identification decision to a "
-        "hash-chained audit ledger at FILE (verify it later with "
-        "scripts/audit_query.py --verify-chain)",
+        help="append every served or identified decision to a "
+        "hash-chained audit ledger at FILE (serve-batch, attack-detect "
+        "and identify-scale write entries; the figure experiments and "
+        "stream-exit call the pipeline directly and write none; verify "
+        "it later with scripts/audit_query.py --verify-chain)",
     )
     return parser
 

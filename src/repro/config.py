@@ -135,11 +135,6 @@ class ImagingConfig:
             delay when extracting the per-grid segment.
         diagonal_loading: Loading factor added to the noise covariance before
             inversion in the MVDR weights.
-        distance_step_m: Optional snapping of the estimated plane distance
-            to a grid before the plane is built.  Disabled (0) by default:
-            continuous placement tracks the ranging estimate, and snapping
-            introduces bin-straddling artefacts for users whose estimates
-            sit near a bin edge.
         subbands: Number of sub-bands for frequency-compounded imaging
             (an extension beyond the paper): the chirp band is split, each
             sub-band is beamformed and range-gated separately, and pixel
@@ -151,15 +146,12 @@ class ImagingConfig:
         >>> cfg = ImagingConfig(grid_resolution=180)   # the paper's plane
         >>> cfg.num_grids, round(cfg.grid_size_m, 3)
         (32400, 0.01)
-        >>> ImagingConfig(distance_step_m=0.25).snap_distance(0.73)
-        0.75
     """
 
     plane_side_m: float = 1.8
     grid_resolution: int = 48
     safeguard_s: float = 3e-4
     diagonal_loading: float = 1e-3
-    distance_step_m: float = 0.0
     subbands: int = 1
 
     def __post_init__(self) -> None:
@@ -169,19 +161,8 @@ class ImagingConfig:
             raise ValueError("grid_resolution must be at least 2")
         if self.safeguard_s <= 0:
             raise ValueError("safeguard_s must be positive")
-        if self.distance_step_m < 0:
-            raise ValueError("distance_step_m must be non-negative")
         if self.subbands < 1:
             raise ValueError("subbands must be >= 1")
-
-    def snap_distance(self, distance_m: float) -> float:
-        """Snap an estimated distance to the plane-distance grid."""
-        if distance_m <= 0:
-            raise ValueError(f"distance must be positive, got {distance_m}")
-        if self.distance_step_m == 0:
-            return distance_m
-        step = self.distance_step_m
-        return max(step, round(distance_m / step) * step)
 
     @property
     def num_grids(self) -> int:
@@ -435,9 +416,10 @@ class ServingConfig:
             that have not finished when it expires are reported as
             ``timeout`` failures; their work is abandoned, not
             interrupted.
-        degrade_on_error: Retry failed requests down the degradation
-            ladder (fewer beeps, then a coarser grid) before reporting
-            failure.
+
+    Failed requests walk the ``BatchAuthenticator``'s degradation
+    ladder before being reported; ``DegradationPolicy(steps=())`` turns
+    the ladder off.
 
     Example:
         >>> cfg = ServingConfig(backend="serial")
@@ -452,7 +434,6 @@ class ServingConfig:
     backend: str = "thread"
     max_workers: int = 0
     timeout_s: float = 30.0
-    degrade_on_error: bool = True
 
     def __post_init__(self) -> None:
         if self.backend not in ("serial", "thread", "process"):

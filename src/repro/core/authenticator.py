@@ -29,6 +29,18 @@ from repro.ml.svdd import SVDD
 SPOOFER_LABEL: int = -1
 
 
+def majority_label(labels) -> object:
+    """Most frequent label; ties break toward rejection, then order."""
+    counts: dict = {}
+    for label in labels:
+        counts[label] = counts.get(label, 0) + 1
+    best = max(counts.values())
+    winners = [label for label, count in counts.items() if count == best]
+    if SPOOFER_LABEL in winners:
+        return SPOOFER_LABEL
+    return winners[0]
+
+
 @dataclass(frozen=True)
 class StreamSnapshot:
     """Running aggregate after one incremental per-beep push.

@@ -82,13 +82,9 @@ class ImagingPlane:
     def from_config(
         cls, distance_m: float, config: ImagingConfig, center_z_m: float = 0.0
     ) -> "ImagingPlane":
-        """Build the plane described by an :class:`ImagingConfig`.
-
-        The distance is snapped to the config's plane-distance grid so
-        ranging jitter between visits cannot move the plane.
-        """
+        """Build the plane described by an :class:`ImagingConfig`."""
         return cls(
-            distance_m=config.snap_distance(distance_m),
+            distance_m=distance_m,
             side_m=config.plane_side_m,
             resolution=config.grid_resolution,
             center_z_m=center_z_m,

@@ -20,6 +20,7 @@ from repro.core.authenticator import (
     MultiUserAuthenticator,
     SingleUserAuthenticator,
     StreamSnapshot,
+    majority_label,
 )
 from repro.core.distance import DistanceEstimate, DistanceEstimator
 from repro.core.enrollment import build_training_features, stack_user_features
@@ -487,7 +488,7 @@ class EchoImagePipeline:
                             for flag in accepted
                         )
 
-                    label = _majority(per_beep)
+                    label = majority_label(per_beep)
                     if collector is not None:
                         collector.stamp(
                             "scores", np.asarray(scores, dtype=float)
@@ -624,15 +625,3 @@ def _should_exit(policy: ExitPolicy, snapshot: StreamSnapshot) -> bool:
     if accepting and snapshot.mean_margin is not None:
         return snapshot.mean_margin >= policy.margin_threshold
     return True
-
-
-def _majority(labels: tuple) -> object:
-    """Most frequent label; ties break toward rejection, then order."""
-    counts: dict = {}
-    for label in labels:
-        counts[label] = counts.get(label, 0) + 1
-    best = max(counts.values())
-    winners = [label for label, count in counts.items() if count == best]
-    if SPOOFER_LABEL in winners:
-        return SPOOFER_LABEL
-    return winners[0]

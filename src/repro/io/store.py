@@ -71,7 +71,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.config import AuthenticationConfig
-from repro.core.authenticator import SPOOFER_LABEL, MultiUserAuthenticator
+from repro.core.authenticator import (
+    SPOOFER_LABEL,
+    MultiUserAuthenticator,
+    majority_label,
+)
 from repro.core.telemetry import pipeline_metrics
 from repro.io.storage import StorageError, load_pickle, save_pickle
 from repro.ml.prefilter import CentroidPrefilter
@@ -156,18 +160,6 @@ class IdentificationResult:
     gate_scores: tuple = ()
     num_users: int = 0
     request_id: str | None = None
-
-
-def _majority(labels) -> object:
-    """Most frequent label; ties break toward rejection, then order."""
-    counts: dict = {}
-    for label in labels:
-        counts[label] = counts.get(label, 0) + 1
-    best = max(counts.values())
-    winners = [label for label, count in counts.items() if count == best]
-    if SPOOFER_LABEL in winners:
-        return SPOOFER_LABEL
-    return winners[0]
 
 
 class EnrollmentStore:
@@ -553,7 +545,7 @@ class EnrollmentStore:
                     best = (shard_id, labels, scores)
                     break
             shard_id, labels, scores = best
-            label = _majority(labels.tolist())
+            label = majority_label(labels.tolist())
             accepted = label != SPOOFER_LABEL
             span.set("outcome", "identified" if accepted else "rejected")
             span.set("label", str(label))

@@ -27,8 +27,12 @@ was served degraded, and on which commit/host the decision ran.  The
 Auditing is opt-in: the process-wide default ledger
 (:func:`get_audit_ledger`) starts as ``None`` and nothing is written to
 disk until a driver installs one with :func:`set_audit_ledger` (e.g.
-``scripts/serve_monitor.py --audit-jsonl`` or ``repro.cli
---audit-jsonl``).
+``scripts/serve_monitor.py --audit-jsonl`` or ``repro.cli run
+serve-batch --audit-jsonl``).  Entries are written by the serving
+layer's outcome fan-out (:func:`repro.serve.outcomes.record_outcomes`)
+and by :meth:`repro.io.store.EnrollmentStore.identify`; a direct
+:meth:`repro.core.pipeline.EchoImagePipeline.authenticate` call is not
+audited.
 
 Example:
     >>> import tempfile

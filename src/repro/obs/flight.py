@@ -274,16 +274,27 @@ class FlightRecorder:
         """Dump triggered by a failure; no-op without ``auto_dump_path``.
 
         Records a ``"dump"`` event carrying the reason (so the written
-        file explains itself), then writes the black-box file.
+        file explains itself), then writes the black-box file.  A write
+        that fails with :class:`OSError` is recorded as a
+        ``"dump_failed"`` event (path and error) instead of raising: the
+        dump runs while serving failed requests, and an unwritable black
+        box must not turn them, or the batch's served requests, into
+        errors.
 
         Returns:
             The path written, or ``None`` when auto dumping is not
-            configured.
+            configured or the write failed.
         """
         if self.auto_dump_path is None:
             return None
         self.record_event("dump", reason=reason, **details)
-        return self.dump()
+        try:
+            return self.dump()
+        except OSError as error:
+            self.record_event(
+                "dump_failed", path=self.auto_dump_path, error=repr(error)
+            )
+            return None
 
     def clear(self) -> None:
         """Drop all retained records and events (totals reset too)."""

@@ -13,10 +13,10 @@ fleet operator can see fidelity erosion before users complain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.acoustics.scene import BeepRecording
-from repro.config import EchoImageConfig, ImagingConfig
+from repro.config import EchoImageConfig
 
 #: Floor on the degraded grid resolution: below this the acoustic image
 #: no longer resolves a torso-scale reflector on the paper's 1.8 m plane.
@@ -71,21 +71,8 @@ class DegradationStep:
         )
         if resolution == imaging.grid_resolution:
             return config
-        degraded = ImagingConfig(
-            plane_side_m=imaging.plane_side_m,
-            grid_resolution=resolution,
-            safeguard_s=imaging.safeguard_s,
-            diagonal_loading=imaging.diagonal_loading,
-            distance_step_m=imaging.distance_step_m,
-            subbands=imaging.subbands,
-        )
-        return EchoImageConfig(
-            beep=config.beep,
-            distance=config.distance,
-            imaging=degraded,
-            features=config.features,
-            auth=config.auth,
-            monitoring=config.monitoring,
+        return replace(
+            config, imaging=replace(imaging, grid_resolution=resolution)
         )
 
 

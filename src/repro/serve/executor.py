@@ -115,12 +115,10 @@ class _WorkerRuntime:
         self,
         bundle: ModelBundle,
         policy: DegradationPolicy,
-        degrade_on_error: bool,
         factory: PipelineFactory,
     ) -> None:
         self.bundle = bundle
         self.policy = policy
-        self.degrade_on_error = degrade_on_error
         self.factory = factory
         self._pipelines: dict[str | None, EchoImagePipeline] = {}
 
@@ -181,23 +179,22 @@ class _WorkerRuntime:
             )
         except Exception as exc:  # noqa: BLE001 — isolate request failures
             last_error = exc
-        if self.degrade_on_error:
-            for step in self.policy.steps:
-                try:
-                    result = self._pipeline(step).authenticate(
-                        step.select_recordings(request.recordings)
-                    )
-                    return AuthenticationResponse(
-                        request_id=request.request_id,
-                        status=STATUS_DEGRADED,
-                        result=result,
-                        degradation=step.name,
-                        latency_s=perf_counter() - start,
-                        beeps_used=result.beeps_used,
-                        early_exit=False,
-                    )
-                except Exception as exc:  # noqa: BLE001
-                    last_error = exc
+        for step in self.policy.steps:
+            try:
+                result = self._pipeline(step).authenticate(
+                    step.select_recordings(request.recordings)
+                )
+                return AuthenticationResponse(
+                    request_id=request.request_id,
+                    status=STATUS_DEGRADED,
+                    result=result,
+                    degradation=step.name,
+                    latency_s=perf_counter() - start,
+                    beeps_used=result.beeps_used,
+                    early_exit=False,
+                )
+            except Exception as exc:  # noqa: BLE001
+                last_error = exc
         return AuthenticationResponse(
             request_id=request.request_id,
             status=STATUS_ERROR,
@@ -215,14 +212,10 @@ _PROCESS_RUNTIME: _WorkerRuntime | None = None
 
 
 def _init_process_worker(
-    bundle: ModelBundle,
-    policy: DegradationPolicy,
-    degrade_on_error: bool,
+    bundle: ModelBundle, policy: DegradationPolicy
 ) -> None:
     global _PROCESS_RUNTIME
-    _PROCESS_RUNTIME = _WorkerRuntime(
-        bundle, policy, degrade_on_error, _default_factory
-    )
+    _PROCESS_RUNTIME = _WorkerRuntime(bundle, policy, _default_factory)
 
 
 def _process_run(
@@ -322,12 +315,7 @@ class BatchAuthenticator:
     # -- worker-side entry points --------------------------------------
 
     def _make_runtime(self) -> _WorkerRuntime:
-        return _WorkerRuntime(
-            self.bundle,
-            self.policy,
-            self.config.degrade_on_error,
-            self._factory,
-        )
+        return _WorkerRuntime(self.bundle, self.policy, self._factory)
 
     def _thread_run(
         self,
@@ -354,11 +342,7 @@ class BatchAuthenticator:
             self._pool = ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_init_process_worker,
-                initargs=(
-                    self.bundle,
-                    self.policy,
-                    self.config.degrade_on_error,
-                ),
+                initargs=(self.bundle, self.policy),
             )
         return self._pool
 

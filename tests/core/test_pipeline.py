@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.config import EchoImageConfig, ImagingConfig
-from repro.core.authenticator import SPOOFER_LABEL
-from repro.core.pipeline import EchoImagePipeline, _majority
+from repro.core.authenticator import SPOOFER_LABEL, majority_label
+from repro.core.pipeline import EchoImagePipeline
 
 
 def fast_config():
@@ -38,18 +38,15 @@ class TestSensing:
         assert 0.3 < estimate.user_distance_m < 1.0
         images, plane = pipeline.construct_images(recordings)
         assert len(images) == 5
-        # The plane distance is the estimate snapped to the plane grid.
-        assert plane.distance_m == pytest.approx(
-            pipeline.config.imaging.snap_distance(estimate.user_distance_m)
-        )
+        # The plane sits at the ranging estimate itself.
+        assert plane.distance_m == estimate.user_distance_m
 
     def test_explicit_distance_skips_estimation(
         self, pipeline, quiet_scene, chirp, subject
     ):
         recordings = record(quiet_scene, chirp, subject, 0.7, 2, 1)
         images, plane = pipeline.construct_images(recordings, distance_m=0.65)
-        # Snapping is disabled by default; the plane tracks the estimate.
-        assert plane.distance_m == pytest.approx(0.65)
+        assert plane.distance_m == 0.65
         assert len(images) == 2
 
 
@@ -101,10 +98,10 @@ class TestAuthenticationFlow:
 
 class TestMajority:
     def test_simple_majority(self):
-        assert _majority(("a", "a", "b")) == "a"
+        assert majority_label(("a", "a", "b")) == "a"
 
     def test_tie_prefers_rejection(self):
-        assert _majority(("a", SPOOFER_LABEL)) == SPOOFER_LABEL
+        assert majority_label(("a", SPOOFER_LABEL)) == SPOOFER_LABEL
 
     def test_all_spoofer(self):
-        assert _majority((SPOOFER_LABEL,) * 3) == SPOOFER_LABEL
+        assert majority_label((SPOOFER_LABEL,) * 3) == SPOOFER_LABEL

@@ -1,9 +1,5 @@
 """Tests for experiment-runner helpers and protocol constants."""
 
-import numpy as np
-import pytest
-
-from repro.config import ImagingConfig
 from repro.eval.experiments import (
     ENVIRONMENTS,
     NOISE_CONDITIONS,
@@ -44,22 +40,3 @@ class TestProtocolConstants:
             "conference_hall",
             "outdoor",
         }
-
-
-class TestSnapDistance:
-    def test_disabled_is_identity(self):
-        config = ImagingConfig(distance_step_m=0.0)
-        assert config.snap_distance(0.637) == 0.637
-
-    def test_snaps_to_grid(self):
-        config = ImagingConfig(distance_step_m=0.1)
-        assert config.snap_distance(0.637) == pytest.approx(0.6)
-        assert config.snap_distance(0.96) == pytest.approx(1.0)
-
-    def test_never_snaps_to_zero(self):
-        config = ImagingConfig(distance_step_m=0.5)
-        assert config.snap_distance(0.01) == pytest.approx(0.5)
-
-    def test_invalid_distance(self):
-        with pytest.raises(ValueError):
-            ImagingConfig().snap_distance(0.0)

@@ -148,6 +148,18 @@ class TestBlackBox:
         assert event["request_ids"] == ["req-7"]
         assert doc["requests"][0]["request_id"] == "req-7"
 
+    def test_unwritable_auto_dump_is_recorded_not_raised(self, tmp_path):
+        path = str(tmp_path / "missing" / "box.json")
+        rec = FlightRecorder(auto_dump_path=path)
+        assert rec.auto_dump("batch failed") is None
+        dump, failed = rec.events()
+        assert dump["kind"] == "dump"
+        assert failed["kind"] == "dump_failed"
+        assert failed["path"] == path
+        assert "FileNotFoundError" in failed["error"]
+        with pytest.raises(FileNotFoundError):
+            rec.dump()  # an explicit dump still reports the fault
+
 
 class TestThreadSafety:
     def test_concurrent_recording_keeps_exact_totals(self):

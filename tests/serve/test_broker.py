@@ -13,12 +13,16 @@ import threading
 import time
 from time import monotonic
 
+import numpy as np
 import pytest
 
+from repro.acoustics.scene import BeepRecording
 from repro.config import BrokerConfig, ExitPolicy, ServingConfig
 from repro.obs import (
+    AuditLedger,
     FlightRecorder,
     MetricsRegistry,
+    set_audit_ledger,
     set_flight_recorder,
     set_registry,
 )
@@ -84,6 +88,29 @@ class FailingAuthenticator(ScriptedAuthenticator):
 
     def authenticate_batch(self, requests, via=None):
         raise RuntimeError("authenticator exploded")
+
+
+class PluggedAuthenticator(ScriptedAuthenticator):
+    """Answers the ``plug`` request with a canned response held on the
+    gate (see :func:`plug_dispatcher`) and serves every other batch
+    through a real authenticator, so the requests queued behind the
+    plug reach it as one batch."""
+
+    def __init__(self, server, gate):
+        super().__init__(gate)
+        self.server = server
+
+    def authenticate_batch(self, requests, via=None):
+        if requests[0].request_id == "plug":
+            return self._respond(requests)
+        return self.server.authenticate_batch(requests, via=via)
+
+
+class BrokenLedger(AuditLedger):
+    """An installed audit ledger whose every append fails."""
+
+    def append(self, *args, **kwargs):
+        raise OSError("ledger volume unavailable")
 
 
 @pytest.fixture()
@@ -320,13 +347,10 @@ class TestDispatch:
 
 
     def test_broken_observer_does_not_stop_dispatch(self, tmp_path):
-        # The failure auto-dump cannot be written: observing the error
-        # responses raises, yet every caller gets its answer and the
-        # dispatch loop keeps serving.
-        recorder = FlightRecorder(
-            auto_dump_path=str(tmp_path / "missing" / "box.json")
-        )
-        previous = set_flight_recorder(recorder)
+        # The audit ledger cannot be appended to: observing the broker's
+        # own error responses raises, yet every caller gets its answer
+        # and the dispatch loop keeps serving.
+        previous = set_audit_ledger(BrokenLedger(tmp_path / "audit.jsonl"))
         broker = RequestBroker(
             FailingAuthenticator(), BrokerConfig(capacity=4, dispatch_batch=4)
         )
@@ -340,7 +364,7 @@ class TestDispatch:
             ]
         finally:
             run_guarded(broker.close)
-            set_flight_recorder(previous)
+            set_audit_ledger(previous)
         assert [r.status for r in responses] == [STATUS_ERROR] * 2
         assert broker.pending == 0
 
@@ -424,6 +448,53 @@ class TestEndToEnd:
             assert response.status == STATUS_OK
             assert response.result is not None
             assert response.beeps_used == len(attempt)
+
+    def test_unwritable_black_box_keeps_batch_outcomes(
+        self, enrolled, bundle, observed, tmp_path
+    ):
+        # A served and a failing request share one batch while the
+        # failure auto-dump points into a missing directory: the served
+        # request stays ok, the failing one is answered once as error,
+        # and the unwritten dump is recorded as an event.
+        _, attempt = enrolled
+        good = AuthenticationRequest("good", tuple(attempt[:2]))
+        silent = AuthenticationRequest(
+            "silent",
+            tuple(
+                BeepRecording(
+                    np.zeros_like(rec.samples), rec.sample_rate, rec.emit_index
+                )
+                for rec in attempt[:2]
+            ),
+        )
+        registry, recorder = observed
+        recorder.auto_dump_path = str(tmp_path / "missing" / "box.json")
+        gate = threading.Event()
+        config = ServingConfig(backend="serial")
+        with BatchAuthenticator(bundle, config) as server:
+            broker = RequestBroker(
+                PluggedAuthenticator(server, gate),
+                BrokerConfig(capacity=4, dispatch_batch=4),
+            )
+            try:
+                plug = plug_dispatcher(broker, gate)
+                futures = [broker.submit(good), broker.submit(silent)]
+                gate.set()
+                plug.result(GUARD_S)
+                served, failed = [f.result(GUARD_S) for f in futures]
+            finally:
+                run_guarded(broker.close)
+        assert served.status == STATUS_OK
+        assert failed.status == STATUS_ERROR
+        assert "DistanceEstimationError" in failed.error
+        family = registry.get("echoimage_serve_requests_total")
+        counts: dict = {}
+        for labels, child in family.samples():
+            outcome = labels["outcome"]
+            counts[outcome] = counts.get(outcome, 0) + child.value
+        assert counts == {STATUS_OK: 1, STATUS_ERROR: 1}
+        (event,) = recorder.events(kind="dump_failed")
+        assert event["path"] == recorder.auto_dump_path
 
     def test_broker_streaming_disabled_exit_matches_batch(
         self, enrolled, bundle

@@ -35,6 +35,7 @@ from repro.serve import (
     STATUS_TIMEOUT,
     AuthenticationRequest,
     BatchAuthenticator,
+    DegradationPolicy,
     RequestBroker,
 )
 
@@ -102,7 +103,7 @@ class TestOverload:
         recorder = FlightRecorder()
         previous_recorder = set_flight_recorder(recorder)
         try:
-            config = ServingConfig(backend="serial", degrade_on_error=False)
+            config = ServingConfig(backend="serial")
             broker_config = BrokerConfig(
                 capacity=capacity,
                 dispatch_batch=capacity,
@@ -110,7 +111,10 @@ class TestOverload:
                 drain_timeout_s=GUARD_S,
             )
             with BatchAuthenticator(
-                bundle, config, pipeline_factory=canned_factory
+                bundle,
+                config,
+                policy=DegradationPolicy(steps=()),
+                pipeline_factory=canned_factory,
             ) as server:
                 broker = RequestBroker(server, broker_config)
                 futures: dict[str, object] = {}
@@ -205,9 +209,12 @@ class TestCrashInjection:
         def crashing_factory(bundle_arg, config, _):
             return _CrashingCannedPipeline(canned_result)
 
-        config = ServingConfig(backend="serial", degrade_on_error=False)
+        config = ServingConfig(backend="serial")
         with BatchAuthenticator(
-            bundle, config, pipeline_factory=crashing_factory
+            bundle,
+            config,
+            policy=DegradationPolicy(steps=()),
+            pipeline_factory=crashing_factory,
         ) as server:
             with RequestBroker(
                 server, BrokerConfig(capacity=32, dispatch_batch=8)
@@ -271,15 +278,13 @@ class TestHangInjection:
             AuthenticationRequest("hang", (attempt[0],)),
             AuthenticationRequest("good-1", tuple(attempt)),
         ]
-        config = ServingConfig(
-            backend="thread",
-            max_workers=3,
-            timeout_s=2.0,
-            degrade_on_error=False,
-        )
+        config = ServingConfig(backend="thread", max_workers=3, timeout_s=2.0)
         try:
             with BatchAuthenticator(
-                bundle, config, pipeline_factory=hanging_factory
+                bundle,
+                config,
+                policy=DegradationPolicy(steps=()),
+                pipeline_factory=hanging_factory,
             ) as server:
                 with RequestBroker(
                     server, BrokerConfig(capacity=8, dispatch_batch=8)

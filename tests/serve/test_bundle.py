@@ -4,16 +4,19 @@ from __future__ import annotations
 
 import copy
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.array.steering import steering_vectors
-from repro.config import EchoImageConfig, ImagingConfig
+from repro.config import EchoImageConfig, ImagingConfig, ServingConfig
 from repro.core.imaging import ImagingPlane
 from repro.core.pipeline import EchoImagePipeline
+from repro.obs import CaptureStore, set_capture_store
 from repro.obs.capture import bundle_content_hash
-from repro.serve import ModelBundle
+from repro.obs.replay import VERDICT_IDENTICAL, replay_request
+from repro.serve import AuthenticationRequest, BatchAuthenticator, ModelBundle
 
 
 class TestFromPipeline:
@@ -85,36 +88,77 @@ class TestPickleRoundTrip:
         )
 
 
+def saved_legacy_bundle(bundle, path):
+    """Save ``bundle`` as an older version pickled it; returns its hash.
+
+    The former trailing ``steering_plane`` / ``steering_by_band`` fields
+    are set, and the imaging config carries the former
+    ``distance_step_m`` field in its ``__dict__``.
+    """
+    legacy = copy.copy(bundle)
+    vars(legacy).pop("_content_hash", None)
+    imaging = copy.copy(bundle.config.imaging)
+    vars(imaging)["distance_step_m"] = 0.0
+    object.__setattr__(
+        legacy, "config", replace(bundle.config, imaging=imaging)
+    )
+    plane = ImagingPlane.from_config(0.7, bundle.config.imaging)
+    steering = steering_vectors(
+        bundle.array, *plane.grid_angles(), bundle.config.beep.center_hz
+    )
+    steering.setflags(write=False)
+    # The former trailing dataclass fields, in declaration order.
+    object.__setattr__(legacy, "steering_plane", plane)
+    object.__setattr__(legacy, "steering_by_band", {0: steering})
+    digest = bundle_content_hash(legacy)
+    legacy.save(path)
+    return digest
+
+
 class TestLegacyBundle:
     def test_steering_fields_load_keep_hash_and_serve(
         self, enrolled, bundle, tmp_path
     ):
-        """A bundle saved with the former ``steering_plane`` /
-        ``steering_by_band`` fields loads, keeps its content hash and
+        """A bundle saved by an older version (see
+        :func:`saved_legacy_bundle`) loads, keeps its content hash and
         serves the source pipeline's decisions bit for bit."""
         pipeline, attempt = enrolled
-        legacy = copy.copy(bundle)
-        vars(legacy).pop("_content_hash", None)
-        plane = ImagingPlane.from_config(0.7, bundle.config.imaging)
-        steering = steering_vectors(
-            bundle.array, *plane.grid_angles(), bundle.config.beep.center_hz
-        )
-        steering.setflags(write=False)
-        # The former trailing dataclass fields, in declaration order.
-        object.__setattr__(legacy, "steering_plane", plane)
-        object.__setattr__(legacy, "steering_by_band", {0: steering})
-        digest = bundle_content_hash(legacy)
         path = tmp_path / "legacy.bundle.pkl"
-        legacy.save(path)
+        digest = saved_legacy_bundle(bundle, path)
 
         restored = ModelBundle.load(path)
         assert restored.content_hash() == digest
+        assert vars(restored.config.imaging)["distance_step_m"] == 0.0
         reference = pipeline.authenticate(attempt)
         served = restored.build_pipeline().authenticate(attempt)
         assert served.label == reference.label
         assert np.array_equal(
             np.asarray(served.scores), np.asarray(reference.scores)
         )
+
+    def test_capture_served_from_legacy_bundle_replays_identically(
+        self, enrolled, bundle, tmp_path
+    ):
+        _, attempt = enrolled
+        path = tmp_path / "legacy.bundle.pkl"
+        digest = saved_legacy_bundle(bundle, path)
+        store = CaptureStore(root=tmp_path / "captures")
+        previous = set_capture_store(store)
+        try:
+            with BatchAuthenticator(
+                ModelBundle.load(path), ServingConfig(backend="serial")
+            ) as server:
+                (response,) = server.authenticate_batch(
+                    [AuthenticationRequest("legacy-0", tuple(attempt))]
+                )
+        finally:
+            set_capture_store(previous)
+        assert response.ok
+        capture = CaptureStore(root=tmp_path / "captures").get("legacy-0")
+        assert capture.bundle_hash == digest
+        report = replay_request(capture, store.load_bundle(digest))
+        assert report.verdict == VERDICT_IDENTICAL
+        assert report.replayed_decision == report.recorded_decision
 
 
 class TestDiskRoundTrip:

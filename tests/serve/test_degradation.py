@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.acoustics.scene import BeepRecording
-from repro.config import EchoImageConfig, ImagingConfig
+from repro.config import EchoImageConfig, ImagingConfig, MonitoringConfig
 from repro.serve import DEFAULT_LADDER, DegradationPolicy, DegradationStep
 from repro.serve.degradation import MIN_RESOLUTION
 
@@ -42,14 +44,28 @@ class TestDegradationStep:
         assert step.scale_config(config) is config
 
     def test_resolution_scaled_and_rest_preserved(self):
+        # Every other field off its default, so a field the degraded
+        # config failed to carry over would show.
+        imaging = ImagingConfig(
+            plane_side_m=1.5,
+            grid_resolution=48,
+            safeguard_s=4e-4,
+            diagonal_loading=2e-3,
+            subbands=3,
+        )
         config = EchoImageConfig(
-            imaging=ImagingConfig(grid_resolution=48, subbands=3)
+            imaging=imaging,
+            monitoring=MonitoringConfig(
+                drift_window=24,
+                drift_min_samples=12,
+                drift_mean_sigmas=3.0,
+                drift_variance_ratio=5.0,
+            ),
         )
         step = DegradationStep("s", resolution_scale=0.5)
         scaled = step.scale_config(config)
-        assert scaled.imaging.grid_resolution == 24
-        assert scaled.imaging.subbands == 3
-        assert scaled.auth == config.auth
+        assert scaled.imaging == replace(imaging, grid_resolution=24)
+        assert replace(scaled, imaging=imaging) == config
 
     def test_resolution_floor(self):
         config = EchoImageConfig(

@@ -23,6 +23,7 @@ from repro.serve import (
     STATUS_TIMEOUT,
     AuthenticationRequest,
     BatchAuthenticator,
+    DegradationPolicy,
 )
 
 #: Hard ceiling for any single authenticate_batch call in this module.
@@ -147,11 +148,12 @@ class TestFailureIsolation:
             AuthenticationRequest("bad", (attempt[0],)),  # 1 beep: crashes
             AuthenticationRequest("good-1", tuple(attempt)),
         ]
-        config = ServingConfig(
-            backend=backend, max_workers=2, degrade_on_error=False
-        )
+        config = ServingConfig(backend=backend, max_workers=2)
         with BatchAuthenticator(
-            bundle, config, pipeline_factory=self._crashing_factory
+            bundle,
+            config,
+            policy=DegradationPolicy(steps=()),
+            pipeline_factory=self._crashing_factory,
         ) as server:
             responses = run_guarded(
                 lambda: server.authenticate_batch(requests)
@@ -170,7 +172,7 @@ class TestFailureIsolation:
         # A 1-beep request stays 1-beep down the whole ladder, so every
         # rung re-crashes and the response must surface the final error.
         requests = [AuthenticationRequest("bad", (attempt[0],))]
-        config = ServingConfig(backend="serial", degrade_on_error=True)
+        config = ServingConfig(backend="serial")
         with BatchAuthenticator(
             bundle, config, pipeline_factory=self._crashing_factory
         ) as server:
@@ -193,7 +195,7 @@ class TestFailureIsolation:
             return bundle_arg.build_pipeline(config)
 
         requests = make_requests(attempt, 2)
-        config = ServingConfig(backend="serial", degrade_on_error=True)
+        config = ServingConfig(backend="serial")
         with BatchAuthenticator(
             bundle, config, pipeline_factory=factory
         ) as server:
@@ -223,15 +225,13 @@ class TestTimeouts:
             AuthenticationRequest("hang", (attempt[0],)),
             AuthenticationRequest("good-1", tuple(attempt)),
         ]
-        config = ServingConfig(
-            backend="thread",
-            max_workers=3,
-            timeout_s=2.0,
-            degrade_on_error=False,
-        )
+        config = ServingConfig(backend="thread", max_workers=3, timeout_s=2.0)
         try:
             with BatchAuthenticator(
-                bundle, config, pipeline_factory=hanging_factory
+                bundle,
+                config,
+                policy=DegradationPolicy(steps=()),
+                pipeline_factory=hanging_factory,
             ) as server:
                 responses = run_guarded(
                     lambda: server.authenticate_batch(requests)
@@ -292,9 +292,12 @@ class TestTelemetry:
                 real = bundle_arg.build_pipeline(config)
                 return _CrashOnMarker(real)
 
-            config = ServingConfig(backend="serial", degrade_on_error=False)
+            config = ServingConfig(backend="serial")
             with BatchAuthenticator(
-                bundle, config, pipeline_factory=crashing_factory
+                bundle,
+                config,
+                policy=DegradationPolicy(steps=()),
+                pipeline_factory=crashing_factory,
             ) as server:
                 run_guarded(lambda: server.authenticate_batch(requests))
             rendered = registry.render_prometheus()

@@ -328,7 +328,7 @@ class TestExitDegradationInterplay:
     ):
         _, attempt = enrolled
         requests = [AuthenticationRequest("deg-0", tuple(attempt))]
-        config = ServingConfig(backend="serial", degrade_on_error=True)
+        config = ServingConfig(backend="serial")
         with BatchAuthenticator(
             bundle, config, pipeline_factory=self._factory
         ) as server:
@@ -351,7 +351,7 @@ class TestExitDegradationInterplay:
         _, attempt = enrolled
         requests = [AuthenticationRequest("fast-0", tuple(attempt))]
         with BatchAuthenticator(
-            bundle, ServingConfig(backend="serial", degrade_on_error=True)
+            bundle, ServingConfig(backend="serial")
         ) as server:
             (response,) = run_guarded(
                 lambda: server.authenticate_streaming(
@@ -407,7 +407,7 @@ class TestAuditTrail:
         ledger = AuditLedger(tmp_path / "degraded.jsonl")
         previous = set_audit_ledger(ledger)
         try:
-            config = ServingConfig(backend="serial", degrade_on_error=True)
+            config = ServingConfig(backend="serial")
             with BatchAuthenticator(
                 bundle,
                 config,

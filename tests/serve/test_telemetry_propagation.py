@@ -28,6 +28,7 @@ from repro.serve import (
     STATUS_TIMEOUT,
     AuthenticationRequest,
     BatchAuthenticator,
+    DegradationPolicy,
 )
 
 from .test_executor import make_requests, run_guarded
@@ -205,16 +206,12 @@ class TestFlightRecording:
             AuthenticationRequest("good", tuple(attempt)),
             AuthenticationRequest("hang", (attempt[0],)),
         ]
-        config = ServingConfig(
-            backend="thread",
-            max_workers=2,
-            timeout_s=2.0,
-            degrade_on_error=False,
-        )
+        config = ServingConfig(backend="thread", max_workers=2, timeout_s=2.0)
         try:
             with BatchAuthenticator(
                 bundle,
                 config,
+                policy=DegradationPolicy(steps=()),
                 pipeline_factory=hanging_factory,
                 recorder=recorder,
             ) as server:
@@ -258,7 +255,7 @@ class TestFlightRecording:
             return bundle_arg.build_pipeline(config)
 
         recorder = FlightRecorder()
-        config = ServingConfig(backend="serial", degrade_on_error=True)
+        config = ServingConfig(backend="serial")
         with BatchAuthenticator(
             bundle, config, pipeline_factory=factory, recorder=recorder
         ) as server:
