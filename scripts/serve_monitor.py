@@ -567,12 +567,16 @@ def main() -> int:
         from repro.obs import set_capture_store
 
         capture_store.close()  # drain background writes before summary
+        index = capture_store.index_document()
+        errors = index["write_errors"]
         print(
             f"[capture store: {len(capture_store)} requests in "
             f"{args.capture_dir}, bundles "
-            f"{sorted(capture_store.bundle_hashes())} — replay with "
-            f"scripts/replay_request.py <id> --capture-dir "
-            f"{args.capture_dir}]"
+            f"{sorted(capture_store.bundle_hashes())}, write errors "
+            f"{errors}"
+            + (f" (last: {index['last_write_error']})" if errors else "")
+            + f" — replay with scripts/replay_request.py <id> "
+            f"--capture-dir {args.capture_dir}]"
         )
         set_capture_store(None)
     if ledger is not None:

@@ -8,6 +8,7 @@ available for research use.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,8 @@ from repro.obs.capture import (
     RequestCapture,
     StageCollector,
     capture_environment,
+    capture_recorder,
     decision_document,
-    get_capture_store,
 )
 from repro.signal.analytic import AnalyticCaptures
 
@@ -431,7 +432,7 @@ class EchoImagePipeline:
         if exit_policy is not None and exit_policy.enabled:
             stream = auth.begin_stream()
         margins: tuple = ()
-        store = get_capture_store()
+        record = capture_recorder()
         collector = None
         with correlation_scope(current_request_id()) as request_id:
             with start_trace() as attempt_trace:
@@ -453,7 +454,7 @@ class EchoImagePipeline:
                             )
                             row = self.feature_extractor.extract([image])
                             rows.append(row)
-                            if store is not None:
+                            if record is not None:
                                 images.append(image)
                             if stream is not None:
                                 snapshot = stream.push(row)
@@ -467,7 +468,7 @@ class EchoImagePipeline:
                             early = index + 1 < len(recordings)
                             break
                     features = np.concatenate(rows, axis=0)
-                    if store is not None:
+                    if record is not None:
                         collector = StageCollector(root)
                         collector.stamp(
                             "distance", _distance_vector(distance)
@@ -521,33 +522,34 @@ class EchoImagePipeline:
             beeps_used=len(rows),
             early_exit=early,
         )
-        if store is not None:
+        if record is not None:
             self._record_capture(
-                store, result, collector, tuple(recordings), exit_policy
+                record, result, collector, tuple(recordings), exit_policy
             )
         return result
 
     def _record_capture(
         self,
-        store,
+        record,
         result: AuthenticationResult,
         collector,
         recordings: tuple,
         exit_policy: ExitPolicy | None,
     ) -> None:
-        """Record one successful attempt into the capture store.
+        """Hand one successful attempt's capture to ``record``.
 
         ``self.config`` is the *resolved* config of this pipeline — for
         a degraded ladder retry that is the degraded config, and
         ``recordings`` is the (possibly subset-selected) input the
         attempt actually consumed, so replaying the capture re-executes
-        exactly what served the request.  Bundle hash / degradation /
-        tenant annotations are attached afterwards by the serving layer.
+        exactly what served the request.  The serving fan-out adds the
+        bundle hash, degradation, tenant, backend and ``via``.
         """
-        store.record(
+        record(
             RequestCapture(
                 request_id=result.request_id,
                 kind="stream" if exit_policy is not None else "authenticate",
+                captured_at=time.time(),
                 environment=capture_environment(),
                 stage_digests=dict(collector.digests),
                 stage_arrays=dict(collector.arrays),

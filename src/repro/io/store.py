@@ -495,9 +495,9 @@ class EnrollmentStore:
         request_id: str,
     ) -> IdentificationResult:
         # Lazy for the same reason as the ledger import above.
-        from repro.obs.capture import get_capture_store
+        from repro.obs.capture import capture_recorder
 
-        store = get_capture_store()
+        record = capture_recorder()
         features = np.atleast_2d(np.asarray(features, dtype=float))
         k = self.candidate_k if k is None else k
         with self._lock, ensure_trace(), trace(
@@ -517,7 +517,7 @@ class EnrollmentStore:
                     num_users=len(self),
                     request_id=request_id,
                 )
-                self._record_capture(store, span, features, k, result)
+                self._record_capture(record, span, features, k, result)
                 return result
             by_shard: dict[int, list] = {}
             for label in candidates:
@@ -565,19 +565,19 @@ class EnrollmentStore:
                 num_users=len(self),
                 request_id=request_id,
             )
-            self._record_capture(store, span, features, k, result)
+            self._record_capture(record, span, features, k, result)
             return result
 
     @staticmethod
-    def _record_capture(store, span, features, k, result) -> None:
-        """Record an identify attempt into the opt-in capture store.
+    def _record_capture(record, span, features, k, result) -> None:
+        """Hand an identify attempt's capture to ``record``, if any.
 
         Stage digests land on the ``identify`` span via
         :meth:`~repro.obs.Span.record_digest`; the input feature matrix
         rides along so :func:`repro.obs.replay.replay_identify` can
         re-run the two-stage lookup against the same store.
         """
-        if store is None:
+        if record is None:
             return
         from repro.obs.capture import (
             RequestCapture,
@@ -596,10 +596,11 @@ class EnrollmentStore:
         collector.stamp(
             "labels", [str(x) for x in result.per_sample_labels]
         )
-        store.record(
+        record(
             RequestCapture(
                 request_id=result.request_id,
                 kind="identify",
+                captured_at=time.time(),
                 environment=capture_environment(),
                 stage_digests=dict(collector.digests),
                 stage_arrays=dict(collector.arrays),

@@ -16,9 +16,15 @@ request id, optionally mirrored to disk on the
 :mod:`repro.io.storage` envelope substrate (one kind-tagged pickle per
 request, plus a content-addressed stash of the model bundles referenced
 by the captures, so a capture directory is self-contained for offline
-replay).  Capture is opt-in: the serving layer records into the
-process-wide store installed with :func:`set_capture_store`, and when
-none is installed (the default) the hot path pays nothing.
+replay).  Capture is opt-in: when no store is installed with
+:func:`set_capture_store` (the default) the hot path pays nothing.
+
+The pipeline's attempt loop and ``EnrollmentStore.identify`` hand each
+capture they build to :func:`capture_recorder`: the installed store
+for a standalone call, or the list of an enclosing
+:func:`collect_captures` block.  Serving workers and replay collect;
+the serving fan-out (:func:`repro.serve.outcomes.record_outcomes`)
+records each served capture once, with its serving context.
 
 The replay side lives in :mod:`repro.obs.replay`.
 
@@ -39,11 +45,13 @@ Example:
 from __future__ import annotations
 
 import hashlib
+import os
 import pickle
 import re
 import threading
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -88,8 +96,9 @@ class RequestCapture:
     Attributes:
         request_id: Correlation id the capture is indexed under.
         kind: ``"authenticate"`` | ``"stream"`` | ``"identify"``.
-        captured_at: Wall-clock recording time (stamped by the store
-            when left at ``0.0``).
+        captured_at: Wall-clock time the attempt finished, stamped
+            where the capture is built (the store stamps a capture
+            recorded with ``0.0``).
         environment: :func:`~repro.obs.envinfo.environment_fingerprint`
             of the recording process.
         stage_digests: Stage name → output digest, in execution order.
@@ -105,8 +114,8 @@ class RequestCapture:
         stage_arrays: Stage name → full output array; lets replay
             report ``max_abs_err`` and the first offending element, not
             just digest mismatch.
-        bundle_hash: Content hash of the serving bundle (annotated by
-            the batch driver, which also stashes the bundle itself).
+        bundle_hash: Content hash of the serving bundle (set by the
+            serving fan-out, which also stashes the bundle itself).
         degradation: Degradation step that served the request, if any.
         tenant / backend / via: Serving-side annotations.
         features: Input feature matrix of an ``identify`` capture.
@@ -205,9 +214,7 @@ class CaptureStore:
 
     Args:
         root: Directory to mirror captures (and referenced bundles)
-            into; ``None`` keeps everything in memory — the mode used
-            inside process workers, whose captures are shipped home via
-            :meth:`drain`.
+            into; ``None`` keeps everything in memory.
         max_captures: Captures retained before the least-recently-used
             one is evicted (its envelope file is deleted too).
         async_persist: Move envelope writes off the recording thread
@@ -217,8 +224,10 @@ class CaptureStore:
             immediately either way; call :meth:`flush` before handing
             the directory to another process.
 
-    Thread-safe: the thread backend records from worker threads while
-    the observability server reads from HTTP handler threads.
+    Thread-safe: the serving fan-out and standalone pipeline calls
+    record while the observability server reads from HTTP handler
+    threads.  A failed file write (a full disk, say) is counted in
+    :meth:`index_document`, not raised; the capture stays in memory.
 
     Disk layout under ``root``::
 
@@ -226,7 +235,11 @@ class CaptureStore:
         bundles/<hash>.bundle.pkl       content-addressed model bundles
 
     Reopening a store on an existing ``root`` re-indexes the on-disk
-    captures (oldest first) without loading their payloads.
+    captures, oldest first.  It loads every envelope once, because a
+    sanitised filename does not give the request id back and an
+    unreadable file is skipped at open rather than indexed; the payload
+    is then dropped and loaded again on first :meth:`get`, so opening a
+    directory costs one envelope load per capture in it.
     """
 
     def __init__(
@@ -252,6 +265,8 @@ class CaptureStore:
         # not yet loaded; insertion order is recency order (LRU).
         self._index: OrderedDict[str, RequestCapture | None] = OrderedDict()
         self._total_recorded = 0
+        self._write_errors = 0
+        self._last_write_error: str | None = None
         if self.root is not None:
             self.root.mkdir(parents=True, exist_ok=True)
             (self.root / "bundles").mkdir(exist_ok=True)
@@ -313,13 +328,6 @@ class CaptureStore:
                     capture.annotations[key] = value
             self._persist(capture)
         return True
-
-    def drain(self) -> list[RequestCapture]:
-        """Pop every in-memory capture (the process-worker ship-home)."""
-        with self._lock:
-            captures = [c for c in self._index.values() if c is not None]
-            self._index.clear()
-        return captures
 
     def flush(self, timeout: float | None = None) -> bool:
         """Wait until every recorded capture has reached disk.
@@ -384,19 +392,21 @@ class CaptureStore:
         """Stash ``bundle`` content-addressed; returns its hash.
 
         No-op (beyond hashing, which the bundle caches) when the store
-        is memory-only or the bundle is already stashed, so the batch
-        driver can call this once per served batch.
+        is memory-only or the bundle is already stashed, so the serving
+        fan-out can call this once per served batch.  A failed write is
+        counted like a failed envelope write and retried on the next
+        call.
         """
         content_hash = getattr(bundle, "content_hash", None)
         digest = content_hash() if callable(content_hash) else (
             bundle_content_hash(bundle)
         )
         if self.root is not None:
-            from repro.io.storage import save_model_bundle
+            from repro.io.storage import BUNDLE_KIND, envelope_bytes
 
             path = self._bundle_path(digest)
             if not path.exists():
-                save_model_bundle(path, bundle)
+                self._write(path, envelope_bytes(BUNDLE_KIND, bundle))
         return digest
 
     def load_bundle(self, digest: str):
@@ -430,7 +440,12 @@ class CaptureStore:
     # ------------------------------------------------------------------
 
     def index_document(self) -> dict:
-        """JSON-safe index of the store, newest capture first."""
+        """JSON-safe index of the store, newest capture first.
+
+        ``write_errors`` counts envelope and bundle writes that failed
+        since the store opened; ``last_write_error`` names the file and
+        the error of the latest one.
+        """
         with self._lock:
             rows = []
             for request_id in reversed(self._index):
@@ -452,6 +467,8 @@ class CaptureStore:
                 "root": str(self.root) if self.root is not None else None,
                 "max_captures": self.max_captures,
                 "total_recorded": self._total_recorded,
+                "write_errors": self._write_errors,
+                "last_write_error": self._last_write_error,
                 "captures": rows,
             }
 
@@ -482,16 +499,29 @@ class CaptureStore:
             self._dirty.add(capture.request_id)
             self._cond.notify()
             return
-        from repro.io.storage import save_pickle
+        from repro.io.storage import envelope_bytes
 
-        save_pickle(
+        self._write(
             self.root / _capture_filename(capture.request_id),
-            CAPTURE_KIND,
-            capture,
+            envelope_bytes(CAPTURE_KIND, capture),
         )
 
+    def _write(self, path: Path, data: bytes) -> None:
+        """Write one envelope or bundle; count a failure, never raise.
+
+        A full or read-only disk must not fail the served request.
+        """
+        from repro.io.storage import write_bytes_atomic
+
+        try:
+            write_bytes_atomic(path, data)
+        except OSError as exc:
+            with self._lock:
+                self._write_errors += 1
+                self._last_write_error = f"{path.name}: {exc}"
+
     def _writer_loop(self) -> None:
-        from repro.io.storage import envelope_bytes, write_bytes_atomic
+        from repro.io.storage import envelope_bytes
 
         while True:
             with self._cond:
@@ -501,7 +531,7 @@ class CaptureStore:
                     return  # closed and fully drained
                 request_id = self._dirty.pop()
                 capture = self._index.get(request_id)
-                if capture is None:  # evicted or drained meanwhile
+                if capture is None:  # evicted meanwhile
                     self._cond.notify_all()
                     continue
                 # Serialise under the lock (a concurrent annotate would
@@ -511,9 +541,7 @@ class CaptureStore:
                 path = self.root / _capture_filename(request_id)
                 self._inflight = request_id
             try:
-                write_bytes_atomic(path, data)
-            except OSError:
-                pass
+                self._write(path, data)
             finally:
                 with self._cond:
                     self._inflight = None
@@ -587,10 +615,55 @@ def set_capture_store(
 ) -> CaptureStore | None:
     """Install (or clear, with ``None``) the process-wide capture store.
 
-    Returns the previous store so callers can restore it.
+    Returns the previous store so callers can restore it.  A forked
+    child (a ``process`` serving worker) starts with none, so it never
+    writes the parent's directory from its copy of the store.
     """
     global _CAPTURE_STORE
     with _STORE_LOCK:
         previous = _CAPTURE_STORE
         _CAPTURE_STORE = store
         return previous
+
+
+def _forget_store_after_fork() -> None:
+    global _CAPTURE_STORE, _STORE_LOCK
+    _STORE_LOCK = threading.Lock()
+    _CAPTURE_STORE = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_store_after_fork)
+
+
+_COLLECTING = threading.local()
+
+
+@contextmanager
+def collect_captures():
+    """Collect the captures this thread builds instead of recording them.
+
+    Yields the list they are appended to, in build order.  Blocks nest;
+    only the innermost one collects.
+    """
+    captured: list[RequestCapture] = []
+    previous = getattr(_COLLECTING, "captures", None)
+    _COLLECTING.captures = captured
+    try:
+        yield captured
+    finally:
+        _COLLECTING.captures = previous
+
+
+def capture_recorder():
+    """Where a capture hook hands the capture it builds, or ``None``.
+
+    The enclosing :func:`collect_captures` block's ``append`` on this
+    thread, else the installed store's :meth:`CaptureStore.record`;
+    ``None`` means nothing is captured, so the hook builds nothing.
+    """
+    captured = getattr(_COLLECTING, "captures", None)
+    if captured is not None:
+        return captured.append
+    store = get_capture_store()
+    return store.record if store is not None else None

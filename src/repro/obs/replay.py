@@ -6,7 +6,10 @@ The counterpart of :mod:`repro.obs.capture`: given a
 :func:`replay_request` rebuilds the exact pipeline (same resolved
 config, feature mode and imaging path), re-executes the captured
 recordings, and walks the stage DAG comparing the fresh per-stage
-digests against the recorded ones.  The result is a
+digests against the recorded ones.  The re-execution's own capture is
+taken with :func:`~repro.obs.capture.collect_captures`, so a replay
+never writes into, or swaps out, the installed capture store.  The
+result is a
 :class:`ReplayReport` with one of three verdicts:
 
 ``identical``
@@ -43,12 +46,11 @@ import numpy as np
 
 from repro.obs.capture import (
     STAGE_ORDER,
-    CaptureStore,
     RequestCapture,
     capture_environment,
+    collect_captures,
     decision_document,
     identify_decision_document,
-    set_capture_store,
 )
 from repro.obs.metrics import SCHEMA_VERSION
 
@@ -342,11 +344,7 @@ def replay_request(
     pipeline = bundle.build_pipeline(
         config if config is not None else capture.config
     )
-    # Run against a throwaway in-memory store so the replay records its
-    # own stage digests/arrays without touching the installed store.
-    memory = CaptureStore(max_captures=2)
-    previous = set_capture_store(memory)
-    try:
+    with collect_captures() as captured:
         recordings = list(capture.recordings)
         if capture.exit_policy is not None:
             result = pipeline.authenticate_streaming(
@@ -354,9 +352,7 @@ def replay_request(
             )
         else:
             result = pipeline.authenticate(recordings)
-    finally:
-        set_capture_store(previous)
-    replayed = memory.get(result.request_id)
+    (replayed,) = captured
     return _build_report(
         capture,
         replayed_digests=replayed.stage_digests,
@@ -376,15 +372,11 @@ def replay_identify(
             f"expected an identify capture, got {capture.kind!r}"
         )
     mismatches = environment_mismatches(capture.environment)
-    memory = CaptureStore(max_captures=2)
-    previous = set_capture_store(memory)
-    try:
+    with collect_captures() as captured:
         result = enrollment_store.identify(
             np.asarray(capture.features), capture.identify_k
         )
-    finally:
-        set_capture_store(previous)
-    replayed = memory.get(result.request_id)
+    (replayed,) = captured
     return _build_report(
         capture,
         replayed_digests=replayed.stage_digests,

@@ -25,18 +25,22 @@ once it is settled, :func:`repro.serve.outcomes.record_outcomes` feeds
 each response to the metrics, capture store, audit ledger, sentinel and
 flight recorder, in the parent process.
 
+**Captures ride the response.**  With a capture store installed, every
+backend's worker returns the answering attempt's capture on
+``AuthenticationResponse.capture`` instead of recording it; the
+fan-out records it once.  So a request abandoned at the batch deadline
+leaves no capture, as it leaves no ledger entry of its own.
+
 **Cross-worker telemetry propagation.**  Serial and thread workers
-record pipeline metrics, traces and captures straight into the parent's
-global registry, sinks and capture store.  Process workers cannot —
-their increments land in the worker interpreter and would be silently
-lost — so ``_process_run`` serves each request against a fresh
-registry, a trace-collecting sink and (when the parent captures) an
-in-memory capture store, and ships what they collected home as the
-response's one :class:`~repro.serve.requests.WorkerTelemetry` payload.
-The parent merges the metric delta into its registry, replays the
-traces through the sink API and records the captures into its store,
-then strips the payload, making all three backends report identical
-totals.
+record pipeline metrics and traces straight into the parent's global
+registry and sinks.  Process workers cannot — their increments land in
+the worker interpreter and would be silently lost — so ``_process_run``
+serves each request against a fresh registry and a trace-collecting
+sink, and ships what they collected home as the response's one
+:class:`~repro.serve.requests.WorkerTelemetry` payload.  The parent
+merges the metric delta into its registry and replays the traces
+through the sink API, then strips the payload, making all three
+backends report identical totals.
 """
 
 from __future__ import annotations
@@ -56,7 +60,6 @@ from typing import Callable
 from repro.config import EchoImageConfig, ExitPolicy, ServingConfig
 from repro.core.pipeline import EchoImagePipeline
 from repro.obs import (
-    CaptureStore,
     FlightRecorder,
     MetricsRegistry,
     PipelineTrace,
@@ -69,10 +72,10 @@ from repro.obs import (
     get_registry,
     metrics_enabled,
     remove_sink,
-    set_capture_store,
     set_registry,
     trace,
 )
+from repro.obs.capture import collect_captures
 from repro.serve.bundle import ModelBundle
 from repro.serve.degradation import DegradationPolicy, DegradationStep
 from repro.serve.outcomes import record_outcomes
@@ -137,7 +140,8 @@ class _WorkerRuntime:
     def run(
         self,
         request: AuthenticationRequest,
-        exit_policy: ExitPolicy | None = None,
+        exit_policy: ExitPolicy | None,
+        capture: bool,
     ) -> AuthenticationResponse:
         """Serve one request, degrading on failure.
 
@@ -151,9 +155,20 @@ class _WorkerRuntime:
         streaming early-exit path; degradation-ladder retries always run
         the plain batch pipeline, so a response can carry ``early_exit``
         or ``degradation`` but never both.
+
+        With ``capture`` the walk runs inside
+        :func:`~repro.obs.capture.collect_captures`, and the capture of
+        the attempt that answered (only successful attempts build one)
+        comes back on the response.
         """
         with correlation_scope(request.request_id):
-            return self._run_correlated(request, exit_policy)
+            if not capture:
+                return self._run_correlated(request, exit_policy)
+            with collect_captures() as captured:
+                response = self._run_correlated(request, exit_policy)
+        if not captured:
+            return response
+        return replace(response, capture=captured[-1])
 
     def _run_correlated(
         self,
@@ -220,39 +235,33 @@ def _init_process_worker(
 
 def _process_run(
     request: AuthenticationRequest,
-    exit_policy: ExitPolicy | None = None,
-    capture: bool = False,
+    exit_policy: ExitPolicy | None,
+    capture: bool,
 ) -> AuthenticationResponse:
     """Serve one request in a worker interpreter, capturing telemetry.
 
-    The request runs against a fresh, empty metrics registry, a
-    trace-collecting sink and — when the parent has a capture store
-    installed and asks for ``capture`` — a fresh in-memory
-    :class:`~repro.obs.CaptureStore`.  The registry snapshot afterwards
-    *is* the request's metric delta; it rides home with the completed
-    traces and the drained captures as the response's one
-    :class:`~repro.serve.requests.WorkerTelemetry` payload (see
-    ``BatchAuthenticator._finalize_response``).
+    The request runs against a fresh, empty metrics registry and a
+    trace-collecting sink.  The registry snapshot afterwards *is* the
+    request's metric delta; it rides home with the completed traces as
+    the response's one :class:`~repro.serve.requests.WorkerTelemetry`
+    payload (see ``BatchAuthenticator._finalize_response``), and the
+    request's capture, when asked for, on the response itself.
     """
     assert _PROCESS_RUNTIME is not None, "pool initializer did not run"
     fresh = MetricsRegistry()
     traces: list[PipelineTrace] = []
-    store = CaptureStore(max_captures=4) if capture else None
     previous = set_registry(fresh)
-    previous_store = set_capture_store(store)
     add_sink(traces.append)
     try:
-        response = _PROCESS_RUNTIME.run(request, exit_policy)
+        response = _PROCESS_RUNTIME.run(request, exit_policy, capture)
     finally:
         remove_sink(traces.append)
-        set_capture_store(previous_store)
         set_registry(previous)
     return replace(
         response,
         telemetry=WorkerTelemetry(
             metrics=fresh.snapshot(),
             traces=tuple(t for t in traces if t),
-            captures=tuple(store.drain()) if store is not None else (),
         ),
     )
 
@@ -320,13 +329,14 @@ class BatchAuthenticator:
     def _thread_run(
         self,
         request: AuthenticationRequest,
-        exit_policy: ExitPolicy | None = None,
+        exit_policy: ExitPolicy | None,
+        capture: bool,
     ) -> AuthenticationResponse:
         runtime = getattr(self._local, "runtime", None)
         if runtime is None:
             runtime = self._make_runtime()
             self._local.runtime = runtime
-        return runtime.run(request, exit_policy)
+        return runtime.run(request, exit_policy, capture)
 
     # -- pool lifecycle ------------------------------------------------
 
@@ -398,7 +408,7 @@ class BatchAuthenticator:
         a structured ``"error"`` response for that request only.
         ``via`` names how the requests entered the system (the
         :class:`~repro.serve.broker.RequestBroker` passes ``"broker"``)
-        and is stamped on their captures.
+        and is recorded on their captures.
         """
         return self._serve(list(requests), None, "serve.batch", via)
 
@@ -430,6 +440,7 @@ class BatchAuthenticator:
         span_name: str,
         via: str | None,
     ) -> list[AuthenticationResponse]:
+        capture = get_capture_store() is not None
         with ensure_trace() as batch_trace, trace(
             span_name,
             backend=self.config.backend,
@@ -438,9 +449,9 @@ class BatchAuthenticator:
             if not requests:
                 responses: list[AuthenticationResponse] = []
             elif self.config.backend == "serial":
-                responses = self._serve_serial(requests, exit_policy)
+                responses = self._serve_serial(requests, exit_policy, capture)
             else:
-                responses = self._serve_pooled(requests, exit_policy)
+                responses = self._serve_pooled(requests, exit_policy, capture)
             outcomes: dict[str, int] = {}
             for response in responses:
                 outcomes[response.status] = (
@@ -457,12 +468,18 @@ class BatchAuthenticator:
             bundle=self.bundle,
             batch_trace=batch_trace,
         )
-        return responses
+        # Callers (perfbench keeps every response) must not pin the
+        # recordings and stage arrays past the store's own LRU.
+        return [
+            replace(r, capture=None) if r.capture is not None else r
+            for r in responses
+        ]
 
     def _serve_serial(
         self,
         requests: list[AuthenticationRequest],
-        exit_policy: ExitPolicy | None = None,
+        exit_policy: ExitPolicy | None,
+        capture: bool,
     ) -> list[AuthenticationResponse]:
         if self._serial_runtime is None:
             self._serial_runtime = self._make_runtime()
@@ -473,29 +490,27 @@ class BatchAuthenticator:
                 responses.append(self._timeout_response(request))
             else:
                 responses.append(
-                    self._serial_runtime.run(request, exit_policy)
+                    self._serial_runtime.run(request, exit_policy, capture)
                 )
         return responses
 
     def _serve_pooled(
         self,
         requests: list[AuthenticationRequest],
-        exit_policy: ExitPolicy | None = None,
+        exit_policy: ExitPolicy | None,
+        capture: bool,
     ) -> list[AuthenticationResponse]:
         pool = self._ensure_pool()
         assert pool is not None
-        if self.config.backend == "thread":
-            submit = lambda request: pool.submit(
-                self._thread_run, request, exit_policy
-            )
-        else:
-            want_capture = get_capture_store() is not None
-            submit = lambda request: pool.submit(
-                _process_run, request, exit_policy, want_capture
-            )
+        run = (
+            self._thread_run
+            if self.config.backend == "thread"
+            else _process_run
+        )
         deadline = monotonic() + self.config.timeout_s
         futures: list[tuple[AuthenticationRequest, Future]] = [
-            (request, submit(request)) for request in requests
+            (request, pool.submit(run, request, exit_policy, capture))
+            for request in requests
         ]
         responses = []
         for request, future in futures:
@@ -527,11 +542,10 @@ class BatchAuthenticator:
 
         The worker's metric delta is merged into the parent's global
         registry — counters and histograms add, gauges are last-write —
-        its traces are replayed through the parent's sink API and its
-        captures are recorded into the parent's capture store, so the
-        ``process`` backend reports the same totals as ``serial`` and
-        ``thread``.  Thread/serial responses carry no payload and pass
-        through untouched.
+        and its traces are replayed through the parent's sink API, so
+        the ``process`` backend reports the same totals as ``serial``
+        and ``thread``.  Thread/serial responses carry no payload and
+        pass through untouched.
         """
         telemetry = response.telemetry
         if telemetry is None:
@@ -540,10 +554,6 @@ class BatchAuthenticator:
             get_registry().merge(telemetry.metrics)
         for worker_trace in telemetry.traces:
             emit_trace(worker_trace)
-        store = get_capture_store()
-        if store is not None:
-            for capture in telemetry.captures:
-                store.record(capture)
         return replace(response, telemetry=None)
 
     def _timeout_response(

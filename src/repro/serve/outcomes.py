@@ -8,7 +8,10 @@ the ``error`` responses of a raising authenticator or
 and feeds every response to the ``echoimage_serve_*`` metrics, the
 capture store, the audit ledger, the security sentinel and the flight
 recorder, so a request's audit entry, flight record, sentinel
-observation and capture cannot disagree.  Sheds were never executed:
+observation and capture cannot disagree.  It is the only writer of
+served captures: the worker returns the answering attempt's capture on
+the response, and the fan-out records it once, with its serving
+context.  Sheds were never executed:
 they reach the metrics, the sentinel's admission feed and a ``shed``
 flight event only.
 """
@@ -16,6 +19,7 @@ flight event only.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Sequence
 
 from repro.core.telemetry import pipeline_metrics
@@ -53,13 +57,14 @@ def record_outcomes(
     Args:
         requests: The requests, in the order of ``responses``; each
             response's tenant comes from its request.
-        responses: One resolved response per request.
+        responses: One resolved response per request.  A response's
+            ``capture`` is recorded into the installed capture store.
         backend: Serving backend that produced the responses; ``None``
             for responses the broker made itself.
         streaming: Whether the batch ran the streaming path (feeds the
             exit-point metrics).
         via: How the requests entered the system (``"broker"`` for
-            brokered traffic, ``None`` for direct calls), stamped on
+            brokered traffic, ``None`` for direct calls), recorded on
             their captures.
         recorder: Flight recorder to write into; defaults to the
             process-wide recorder.
@@ -118,17 +123,18 @@ def record_outcomes(
         if failure:
             failed.append(response.request_id)
         if not shed:
-            if store is not None:
-                # The worker recorded the pipeline-level capture (or
-                # shipped it home); the serving side owns the bundle and
-                # the context, so it annotates here.
-                store.annotate(
-                    response.request_id,
-                    bundle_hash=bundle_hash,
-                    degradation=response.degradation,
-                    tenant=request.tenant,
-                    backend=backend,
-                    via=via,
+            if store is not None and response.capture is not None:
+                # The worker collected the pipeline-level capture; the
+                # serving side owns the bundle and the context.
+                store.record(
+                    replace(
+                        response.capture,
+                        bundle_hash=bundle_hash,
+                        degradation=response.degradation,
+                        tenant=request.tenant,
+                        backend=backend,
+                        via=via,
+                    )
                 )
             if ledger is not None:
                 fields = _audit_fields(response, backend)

@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 from repro.acoustics.scene import BeepRecording
 from repro.core.pipeline import AuthenticationResult
+from repro.obs.capture import RequestCapture
 from repro.obs.correlation import new_request_id
 
 #: The request completed through the full-fidelity pipeline.
@@ -90,14 +91,10 @@ class WorkerTelemetry(NamedTuple):
             :meth:`repro.obs.MetricsRegistry.snapshot` document.
         traces: The :class:`~repro.obs.PipelineTrace` objects completed
             in the worker.
-        captures: The :class:`~repro.obs.RequestCapture` objects
-            recorded in the worker; empty unless the parent has a
-            capture store installed.
     """
 
     metrics: dict
     traces: tuple
-    captures: tuple
 
 
 @dataclass(frozen=True)
@@ -130,10 +127,15 @@ class AuthenticationResponse:
             construction: degraded retries run the non-streaming
             pipeline, so a response never carries both.
         telemetry: The ``process`` backend's :class:`WorkerTelemetry`
-            payload.  The parent applies it to its registry, trace sinks
-            and capture store and strips the field before the response
-            reaches callers, so serial, thread and process backends
-            report identical totals.
+            payload.  The parent applies it to its registry and trace
+            sinks and strips the field before the response reaches
+            callers, so serial, thread and process backends report
+            identical totals.
+        capture: The :class:`~repro.obs.RequestCapture` of the attempt
+            that answered, collected by the worker when the parent has
+            a capture store installed.  The serving fan-out records it
+            once and the field is cleared before the response reaches
+            callers.
     """
 
     request_id: str
@@ -146,6 +148,7 @@ class AuthenticationResponse:
     beeps_used: int | None = None
     early_exit: bool = False
     telemetry: WorkerTelemetry | None = None
+    capture: RequestCapture | None = None
 
     def __post_init__(self) -> None:
         if self.status not in STATUSES:

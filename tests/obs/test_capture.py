@@ -1,5 +1,10 @@
 """Capture substrate: digests, span hooks, the LRU store, bundles."""
 
+import errno
+import os
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,7 +18,12 @@ from repro.obs import (
     start_trace,
     trace,
 )
-from repro.obs.capture import _capture_filename, bundle_content_hash
+from repro.obs.capture import (
+    _capture_filename,
+    bundle_content_hash,
+    capture_recorder,
+    collect_captures,
+)
 from repro.obs.tracer import digest_value
 
 
@@ -111,14 +121,6 @@ class TestCaptureStoreMemory:
         assert capture.annotations == {"operator": "oncall"}
         assert not store.annotate("req-ghost", backend="serial")
 
-    def test_drain_pops_everything(self):
-        store = CaptureStore(max_captures=4)
-        store.record(make_capture("req-0"))
-        store.record(make_capture("req-1"))
-        drained = store.drain()
-        assert [c.request_id for c in drained] == ["req-0", "req-1"]
-        assert len(store) == 0
-
     def test_memory_store_stashes_no_bundles(self):
         from repro.io.storage import StorageError
 
@@ -139,6 +141,7 @@ class TestCaptureStoreMemory:
             "req-1", "req-0"
         ]
         assert doc["captures"][0]["capture_kind"] == "stream"
+        assert (doc["write_errors"], doc["last_write_error"]) == (0, None)
 
 
 class TestCaptureStoreDisk:
@@ -184,6 +187,73 @@ class TestCaptureStoreDisk:
             reopened.get("req-0").stage_arrays["features"],
             arrays["features"],
         )
+
+
+def fill_disk_under(root, monkeypatch):
+    """Make every atomic write under ``root`` fail with ENOSPC."""
+    from repro.io import storage
+
+    write = storage.write_bytes_atomic
+
+    def full_disk(path, data):
+        if Path(path).is_relative_to(root):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return write(path, data)
+
+    monkeypatch.setattr(storage, "write_bytes_atomic", full_disk)
+
+
+class TestWriteErrors:
+    @pytest.mark.parametrize("async_persist", [False, True])
+    def test_full_disk_is_counted_not_raised(
+        self, tmp_path, monkeypatch, async_persist
+    ):
+        root = tmp_path / "captures"
+        store = CaptureStore(
+            root=root, max_captures=4, async_persist=async_persist
+        )
+        fill_disk_under(root, monkeypatch)
+        store.record(make_capture("req-0"))
+        assert store.flush(timeout=10.0)
+        doc = store.index_document()
+        assert doc["write_errors"] == 1
+        assert "No space left on device" in doc["last_write_error"]
+        assert "req-0.capture.pkl" in doc["last_write_error"]
+        # Still readable in memory, absent on disk.
+        assert store.get("req-0").decision == {"label": "1", "accepted": True}
+        assert not list(root.glob("*.capture.pkl"))
+        store.close()
+
+
+class TestCollectCaptures:
+    def test_recorder_prefers_the_collector_over_the_store(self):
+        store = CaptureStore(max_captures=4)
+        assert capture_recorder() is None
+        previous = set_capture_store(store)
+        try:
+            assert capture_recorder() == store.record
+            with collect_captures() as captured:
+                capture_recorder()(make_capture("req-0"))
+            assert [c.request_id for c in captured] == ["req-0"]
+            assert len(store) == 0
+        finally:
+            set_capture_store(previous)
+
+    def test_blocks_nest_and_stay_on_their_thread(self):
+        seen = []
+        with collect_captures() as outer:
+            with collect_captures() as inner:
+                capture_recorder()(make_capture("req-inner"))
+            capture_recorder()(make_capture("req-outer"))
+            other = threading.Thread(
+                target=lambda: seen.append(capture_recorder())
+            )
+            other.start()
+            other.join()
+        assert [c.request_id for c in inner] == ["req-inner"]
+        assert [c.request_id for c in outer] == ["req-outer"]
+        assert seen == [None]  # no store installed, no collector there
+        assert capture_recorder() is None
 
 
 class TestCaptureStoreAsync:
@@ -262,6 +332,21 @@ class TestBundleStash:
         assert store.bundle_hashes() == (digest,)
         loaded = store.load_bundle(digest)
         assert loaded.content_hash() == digest
+
+    def test_failed_stash_is_counted_and_retried(
+        self, enrolled_bundle, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "captures"
+        store = CaptureStore(root=root, max_captures=4)
+        fill_disk_under(root, monkeypatch)
+        digest = store.ensure_bundle(enrolled_bundle)
+        assert digest == enrolled_bundle.content_hash()
+        assert store.bundle_hashes() == ()
+        assert store.index_document()["write_errors"] == 1
+        monkeypatch.undo()  # the disk has room again
+        assert store.ensure_bundle(enrolled_bundle) == digest
+        assert store.bundle_hashes() == (digest,)
+        assert store.index_document()["write_errors"] == 1
 
     @pytest.fixture(scope="class")
     def enrolled_bundle(self):

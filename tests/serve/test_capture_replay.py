@@ -8,6 +8,8 @@ than on nondeterminism.
 """
 
 import dataclasses
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from repro.obs.replay import (
     replay_request,
 )
 from repro.serve import AuthenticationRequest, BatchAuthenticator
+from tests.obs.test_capture import fill_disk_under
+from tests.serve.test_executor import GUARD_S
 
 BACKENDS = ("serial", "thread", "process")
 
@@ -254,12 +258,200 @@ class TestBrokerAnnotation:
             auth.close()
         capture = capture_store.get("req-brokered")
         assert capture.via == "broker"
-        # Recorded once by the pipeline, annotated once by the serving
-        # fan-out: the capture file is written at most twice.
+        # Recorded once, with its whole serving context, by the fan-out.
         capture_writes = [p for p in writes if p.endswith(".capture.pkl")]
-        assert 1 <= len(capture_writes) <= 2
+        assert len(capture_writes) == 1
         # Brokered captures replay like any other.
         report = replay_request(
             capture, capture_store.load_bundle(capture.bundle_hash)
         )
         assert report.verdict == VERDICT_IDENTICAL
+
+
+def count_capture_writes(monkeypatch) -> list:
+    """Filenames of every capture envelope written from now on."""
+    from repro.io import storage
+
+    writes: list[str] = []
+    write_bytes_atomic = storage.write_bytes_atomic
+
+    def counting_write(path, data):
+        if str(path).endswith(".capture.pkl"):
+            writes.append(Path(path).name)
+        return write_bytes_atomic(path, data)
+
+    monkeypatch.setattr(storage, "write_bytes_atomic", counting_write)
+    return writes
+
+
+class TestOneWritePerServedCapture:
+    @pytest.mark.parametrize("async_persist", [False, True])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_each_served_capture_is_written_once(
+        self, enrolled, bundle, tmp_path, monkeypatch, backend,
+        async_persist,
+    ):
+        _, recordings = enrolled
+        writes = count_capture_writes(monkeypatch)
+        store = CaptureStore(
+            root=tmp_path / "captures", async_persist=async_persist
+        )
+        ids = [f"req-once-{i}" for i in range(3)]
+        previous = set_capture_store(store)
+        try:
+            with BatchAuthenticator(
+                bundle, ServingConfig(backend=backend, max_workers=2)
+            ) as auth:
+                responses = auth.authenticate_batch(
+                    [AuthenticationRequest(rid, tuple(recordings))
+                     for rid in ids]
+                )
+        finally:
+            set_capture_store(previous)
+            store.close()
+        assert all(r.ok for r in responses)
+        # Responses leave the authenticator without their capture.
+        assert all(r.capture is None for r in responses)
+        assert sorted(writes) == sorted(f"{rid}.capture.pkl" for rid in ids)
+        for rid in ids:
+            capture = store.get(rid)
+            assert capture.backend == backend
+            assert capture.bundle_hash == bundle.content_hash()
+            assert capture.captured_at > 0
+
+    def test_forked_worker_never_writes_its_inherited_store(
+        self, enrolled, bundle, tmp_path
+    ):
+        """A process pool forked while a store was installed keeps
+        serving after the store is removed; its workers' copies of the
+        store must stay unused."""
+        _, recordings = enrolled
+        store = CaptureStore(root=tmp_path / "captures")
+        with BatchAuthenticator(
+            bundle, ServingConfig(backend="process", max_workers=1)
+        ) as auth:
+            previous = set_capture_store(store)
+            try:
+                (first,) = auth.authenticate_batch(
+                    [AuthenticationRequest("req-fork-0", tuple(recordings))]
+                )
+            finally:
+                set_capture_store(previous)
+            (second,) = auth.authenticate_batch(
+                [AuthenticationRequest("req-fork-1", tuple(recordings))]
+            )
+        assert first.ok and second.ok
+        reopened = CaptureStore(root=tmp_path / "captures")
+        assert reopened.request_ids() == ("req-fork-0",)
+
+
+class _HeldPipeline:
+    """Pipeline whose attempts wait for ``release``, then set ``done``."""
+
+    def __init__(self, real, release, done):
+        self._real = real
+        self._release = release
+        self._done = done
+
+    def authenticate(self, recordings):
+        self._release.wait(GUARD_S)
+        try:
+            return self._real.authenticate(recordings)
+        finally:
+            self._done.set()
+
+
+class TestAbandonedRequests:
+    def test_timed_out_thread_request_leaves_no_capture(
+        self, enrolled, bundle, capture_store
+    ):
+        """The ledger says ``timeout``; once the abandoned worker
+        finishes, the capture store must not say otherwise."""
+        _, recordings = enrolled
+        release, done = threading.Event(), threading.Event()
+
+        def held_factory(bundle_arg, config, _):
+            return _HeldPipeline(
+                bundle_arg.build_pipeline(config), release, done
+            )
+
+        requests = [
+            AuthenticationRequest(f"req-held-{i}", tuple(recordings))
+            for i in range(2)
+        ]
+        try:
+            with BatchAuthenticator(
+                bundle,
+                ServingConfig(backend="thread", max_workers=1, timeout_s=0.3),
+                pipeline_factory=held_factory,
+            ) as auth:
+                responses = auth.authenticate_batch(requests)
+        finally:
+            release.set()
+        assert [r.status for r in responses] == ["timeout", "timeout"]
+        assert done.wait(GUARD_S)  # the started request ran to its end
+        assert len(capture_store) == 0
+
+
+class TestFullDisk:
+    def test_brokered_requests_survive_a_full_capture_disk(
+        self, enrolled, bundle, tmp_path, monkeypatch
+    ):
+        """ENOSPC under the capture directory costs the captures' files,
+        not the decisions: every request is answered and audited ``ok``
+        and the store reports the failed writes."""
+        from repro.config import BrokerConfig
+        from repro.obs import (
+            AuditLedger,
+            MetricsRegistry,
+            set_audit_ledger,
+            set_registry,
+        )
+        from repro.serve import RequestBroker
+
+        _, recordings = enrolled
+        root = tmp_path / "captures"
+        fill_disk_under(root, monkeypatch)
+        store = CaptureStore(root=root, async_persist=True)
+        ledger = AuditLedger(tmp_path / "audit.jsonl")
+        registry = MetricsRegistry()
+        previous = (
+            set_capture_store(store),
+            set_audit_ledger(ledger),
+            set_registry(registry),
+        )
+        ids = [f"req-full-{i}" for i in range(4)]
+        try:
+            with BatchAuthenticator(
+                bundle, ServingConfig(backend="serial")
+            ) as auth, RequestBroker(
+                auth, BrokerConfig(capacity=8, dispatch_batch=4)
+            ) as broker:
+                futures = [
+                    broker.submit(
+                        AuthenticationRequest(rid, tuple(recordings))
+                    )
+                    for rid in ids
+                ]
+                responses = [f.result(timeout=GUARD_S) for f in futures]
+            store.flush(timeout=10.0)
+        finally:
+            set_capture_store(previous[0])
+            set_audit_ledger(previous[1])
+            set_registry(previous[2])
+            store.close()
+        assert [r.status for r in responses] == ["ok"] * 4
+        assert [e["status"] for e in ledger.entries()] == ["ok"] * 4
+        served = registry.get("echoimage_serve_requests_total")
+        outcomes = {
+            labels["outcome"]: child.value
+            for labels, child in served.samples()
+        }
+        assert outcomes == {"ok": 4}
+        doc = store.index_document()
+        # Four envelopes and at least one bundle stash failed.
+        assert doc["write_errors"] >= 5
+        assert "No space left on device" in doc["last_write_error"]
+        for rid in ids:
+            assert store.get(rid).via == "broker"
+        assert not list(root.rglob("*.pkl"))
