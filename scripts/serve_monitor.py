@@ -3,8 +3,8 @@
 Simulates a deployed smart speaker: enroll one user, then serve a stream
 of authentication attempts (genuine visits, periodic spoofing attempts,
 optional mid-run channel degradation) while the pipeline's quality
-telemetry accumulates in the metrics registry and the serving workers'
-drift monitors watch the score/SNR distributions.  One status line is
+telemetry accumulates in the metrics registry and the serving layer's
+drift suite watches the score/SNR distributions.  One status line is
 printed per attempt, followed by the drift alerts its response carried
 as structured JSON; the Prometheus text dump is printed every
 ``--dump-every`` attempts and at the end (write it to a file with
@@ -17,10 +17,11 @@ Every attempt is served through the batch serving layer
 pool — ``serial`` (the default) runs them in line on this thread,
 ``thread`` and ``process`` on a pool — exercising the same
 bundle-sharing, degradation ladder and observer fan-out a deployment
-would run.  The metrics, flight recorder, audit ledger, sentinel and
-capture store see each decision only through that fan-out
-(:func:`repro.serve.outcomes.record_outcomes`), so they agree about
-every request.
+would run.  The metrics, flight recorder, audit ledger, sentinel,
+capture store and drift suite see each decision only through that
+fan-out (:func:`repro.serve.outcomes.record_outcomes`), so they agree
+about every request, and the drift alerts are the same on every
+backend.
 
 With ``--broker`` the pool is fronted by the
 :class:`repro.serve.RequestBroker`: every attempt is recorded up front
@@ -312,10 +313,9 @@ def main() -> int:
             and (broker is None or broker.alive)
         )
 
-    # Each serving worker owns its pipeline's drift monitors, and the
-    # enrolling pipeline never serves: the run's drift alerts are the
-    # ones the served responses carry.
-    drift_alerts: list = []
+    def drift_alerts() -> list:
+        server = state["server"]
+        return [] if server is None else server.drift.alerts()
 
     obs_server = None
     if args.obs_port is not None:
@@ -325,7 +325,7 @@ def main() -> int:
             registry=registry,
             recorder=recorder,
             readiness=ready,
-            drift_source=drift_alerts.copy,
+            drift_source=drift_alerts,
             audit_ledger=ledger,
             slo=slo,
             sentinel=sentinel,
@@ -346,7 +346,7 @@ def main() -> int:
         chirp, user.beep_clouds(0.7, args.enroll_beeps, rng), rng
     )
     pipeline.enroll_user(enroll)
-    baseline = pipeline.drift.monitor("auth.score").baseline
+    baseline = pipeline.score_baseline
     print(
         f"score baseline frozen: mean {baseline.mean:.4f}, "
         f"std {baseline.std:.4f} over {baseline.count} enrollment scores\n"
@@ -412,15 +412,12 @@ def main() -> int:
         ]
         # One batch: the decisions finalize back-to-back, so the
         # sentinel sees the burst at machine pacing.
-        responses = server.authenticate_batch(
+        server.authenticate_batch(
             [
                 AuthenticationRequest(rid, tuple(recs), tenant="tenant-replay")
                 for rid, recs in zip(burst_ids, burst_recordings)
             ]
         )
-        for response in responses:
-            if response.result is not None:
-                drift_alerts.extend(response.result.drift_alerts)
         for alert in sentinel.alerts()[before:]:
             print(f"       SECURITY {json.dumps(alert.to_dict())}")
         print(
@@ -440,8 +437,7 @@ def main() -> int:
             f"score {mean_score:+.4f}  "
             f"snr {result.distance.echo_snr_db:5.1f} dB{note}"
         )
-        drift_alerts.extend(result.drift_alerts)
-        for alert in result.drift_alerts:
+        for alert in response.drift_alerts:
             print(f"       DRIFT {json.dumps(alert.to_dict())}")
 
     def flush_batch(pending):
@@ -534,8 +530,9 @@ def main() -> int:
         f"\nServed {args.attempts} attempts in {elapsed:.1f}s "
         f"({elapsed / args.attempts * 1e3:.0f} ms/attempt)"
     )
-    print(f"drift alerts raised: {len(drift_alerts)}")
-    for alert in drift_alerts:
+    raised = server.drift.alerts()
+    print(f"drift alerts raised: {len(raised)}")
+    for alert in raised:
         print(f"  {alert.message}")
     security = sentinel.alerts()
     print(f"security alerts raised: {len(security)}")

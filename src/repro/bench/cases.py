@@ -749,7 +749,7 @@ def _quality_spoofer_detection(ctx: BenchContext):
 OVERHEAD_BUDGET = 0.05
 
 
-def _overhead_exceedance(plain, instrumented, detail_key: str):
+def _overhead_exceedance(plain, instrumented, detail_key: str, settle=None):
     """Budget exceedance of an instrumented serial batch over plain.
 
     Samples the two modes back-to-back in pairs and takes the median of
@@ -762,6 +762,11 @@ def _overhead_exceedance(plain, instrumented, detail_key: str):
     compares against the budget line rather than against whichever
     noise the baseline run happened to catch (the raw overhead stays
     visible in the details).
+
+    ``settle``, when given, runs after every instrumented call outside
+    both timed regions, so work the instrumentation leaves running in
+    the background (the capture store's async writer) is not charged
+    to the next plain batch.
     """
     import statistics
     import time
@@ -771,12 +776,14 @@ def _overhead_exceedance(plain, instrumented, detail_key: str):
         fn()
         return time.perf_counter() - start
 
-    plain(), instrumented()  # warm both paths (caches, pools, stores)
+    settle = settle or (lambda: None)
+    plain(), instrumented(), settle()  # warm both paths
     plain_s, instrumented_s = [], []
     deadline = time.perf_counter() + 10.0
     for _ in range(9):
         plain_s.append(timed(plain))
         instrumented_s.append(timed(instrumented))
+        settle()
         if time.perf_counter() > deadline and len(plain_s) >= 5:
             break
     # Noise can flip a pair's sign; the tracked number is the overhead,
@@ -828,9 +835,11 @@ def _quality_audit_overhead(ctx: BenchContext):
     unit="rate",
     higher_is_better=False,
     description="Serving-latency overhead of per-request capture "
-    "(digests + arrays + background disk persist) beyond the 0.05 "
-    "budget (paired captured-vs-plain serial batches; 0.0 while "
-    "within budget)",
+    "(digests + arrays, handed to the background writer) beyond the "
+    "0.05 budget (paired captured-vs-plain serial batches; 0.0 while "
+    "within budget).  Background persistence is off the request path "
+    "and not counted: the writer is drained after each captured batch, "
+    "outside both timed regions",
 )
 def _quality_capture_overhead(ctx: BenchContext):
     from repro.obs import set_capture_store
@@ -849,7 +858,9 @@ def _quality_capture_overhead(ctx: BenchContext):
         finally:
             set_capture_store(None)
 
-    return _overhead_exceedance(plain, captured, "captured_median_s")
+    return _overhead_exceedance(
+        plain, captured, "captured_median_s", settle=store.flush
+    )
 
 
 @quality_case(

@@ -29,8 +29,7 @@ from repro.core.features import FeatureExtractor
 from repro.core.imaging import AcousticImager, ImagingPlane
 from repro.core.telemetry import pipeline_metrics
 from repro.obs import (
-    DriftAlert,
-    DriftSuite,
+    DriftBaseline,
     PipelineTrace,
     correlation_scope,
     current_request_id,
@@ -68,9 +67,6 @@ class AuthenticationResult:
         scores: Per-beep SVDD decision scores (positive = inside the
             registered description) — the raw values behind
             ``per_beep_labels``.
-        drift_alerts: Drift alerts newly raised by this attempt (score or
-            SNR distribution shifted vs. the registration-time baseline);
-            empty on healthy attempts.
         margins: Per-beep normalised SVM vote margins (multi-user
             enrollment only; ``nan`` for beeps the SVDD gate rejected,
             empty for single-user enrollment) — the classifier's
@@ -79,8 +75,8 @@ class AuthenticationResult:
         request_id: Correlation id of the attempt — inherited from the
             ambient :func:`repro.obs.correlation_scope` (e.g. the
             serving layer's) or minted fresh for standalone calls; the
-            same id appears on the attempt's trace, drift alerts and
-            audit-ledger entry.
+            same id appears on the attempt's trace and audit-ledger
+            entry.
         beeps_used: How many beeps the decision actually consumed — the
             attempt length unless an enabled exit policy of
             :meth:`EchoImagePipeline.authenticate_streaming` stopped
@@ -103,7 +99,6 @@ class AuthenticationResult:
     per_beep_labels: tuple
     trace: PipelineTrace | None = None
     scores: tuple = ()
-    drift_alerts: tuple[DriftAlert, ...] = ()
     margins: tuple = ()
     request_id: str | None = None
     beeps_used: int = 0
@@ -168,17 +163,11 @@ class EchoImagePipeline:
         self.feature_extractor = FeatureExtractor(
             self.config.features, mode=feature_mode
         )
-        monitoring = self.config.monitoring
-        #: Drift monitors for the deployed service.  ``auth.score`` is
-        #: baselined from the enrollment decision scores at enroll time;
-        #: ``distance.snr_db`` self-baselines from the first attempts
-        #: (SNR is only measured per attempt, never at enrollment).
-        self.drift = DriftSuite(
-            window=monitoring.drift_window,
-            min_samples=monitoring.drift_min_samples,
-            mean_sigmas=monitoring.drift_mean_sigmas,
-            variance_ratio=monitoring.drift_variance_ratio,
-        )
+        #: The registration-time ``auth.score`` distribution, frozen
+        #: from the enrollment decision scores.  A
+        #: :class:`repro.serve.ModelBundle` carries it to the serving
+        #: layer, whose drift suite watches served scores against it.
+        self.score_baseline: DriftBaseline | None = None
         self._multi_auth: MultiUserAuthenticator | None = None
         self._single_auth: SingleUserAuthenticator | None = None
 
@@ -251,7 +240,9 @@ class EchoImagePipeline:
                 images, plane, self.feature_extractor, augment_distances_m
             )
             auth = SingleUserAuthenticator(self.config.auth).fit(features)
-        self._freeze_score_baseline(auth.decision_function(features))
+        self.score_baseline = DriftBaseline.from_values(
+            np.ravel(auth.decision_function(features))
+        )
         self._single_auth = auth
         self._multi_auth = None
         return auth
@@ -284,7 +275,9 @@ class EchoImagePipeline:
             auth = MultiUserAuthenticator(self.config.auth).fit(
                 features, labels
             )
-        self._freeze_score_baseline(auth.spoofer_scores(features))
+        self.score_baseline = DriftBaseline.from_values(
+            np.ravel(auth.spoofer_scores(features))
+        )
         self._multi_auth = auth
         self._single_auth = None
         return auth
@@ -305,9 +298,9 @@ class EchoImagePipeline:
         Args:
             single_auth: A fitted single-user authenticator.
             multi_auth: A fitted multi-user authenticator.
-            score_baseline: Optional frozen
-                :class:`repro.obs.DriftBaseline` for the ``auth.score``
-                drift monitor (the registration-time score distribution).
+            score_baseline: The registration-time score distribution
+                (:class:`repro.obs.DriftBaseline`) that came with the
+                authenticator, kept as :attr:`score_baseline`.
         """
         if (single_auth is None) == (multi_auth is None):
             raise ValueError(
@@ -318,16 +311,7 @@ class EchoImagePipeline:
             raise ValueError("authenticator is not fitted")
         self._single_auth = single_auth
         self._multi_auth = multi_auth
-        monitor = self.drift.monitor("auth.score")
-        monitor.reset()
-        if score_baseline is not None:
-            monitor.baseline = score_baseline
-
-    def _freeze_score_baseline(self, enrollment_scores: np.ndarray) -> None:
-        """Freeze the ``auth.score`` drift baseline at registration time."""
-        monitor = self.drift.monitor("auth.score")
-        monitor.reset()
-        monitor.freeze_baseline(np.asarray(enrollment_scores).ravel())
+        self.score_baseline = score_baseline
 
     # ------------------------------------------------------------------
     # Authentication
@@ -506,9 +490,14 @@ class EchoImagePipeline:
                         beeps_used=len(rows),
                         early_exit=early,
                     )
-                    alerts = self._record_attempt(
-                        label != SPOOFER_LABEL, scores, distance
-                    )
+                    metrics = pipeline_metrics()
+                    if metrics is not None:
+                        metrics.auth_attempts.labels(
+                            result=(
+                                "accept" if label != SPOOFER_LABEL
+                                else "reject"
+                            )
+                        ).inc()
         result = AuthenticationResult(
             label=label,
             accepted=label != SPOOFER_LABEL,
@@ -516,7 +505,6 @@ class EchoImagePipeline:
             per_beep_labels=per_beep,
             trace=attempt_trace,
             scores=tuple(float(s) for s in scores),
-            drift_alerts=alerts,
             margins=margins,
             request_id=request_id,
             beeps_used=len(rows),
@@ -565,34 +553,6 @@ class EchoImagePipeline:
                 ),
             )
         )
-
-    def _record_attempt(
-        self,
-        accepted: bool,
-        scores: np.ndarray,
-        distance: DistanceEstimate,
-    ) -> tuple:
-        """Attempt-level telemetry: counters plus drift-monitor feeding."""
-        metrics = pipeline_metrics()
-        if metrics is not None:
-            metrics.auth_attempts.labels(
-                result="accept" if accepted else "reject"
-            ).inc()
-        alerts: list[DriftAlert] = []
-        score_monitor = self.drift.monitor("auth.score")
-        for score in np.asarray(scores).ravel():
-            alerts.extend(score_monitor.observe(float(score)))
-        alerts.extend(
-            self.drift.observe("distance.snr_db", distance.echo_snr_db)
-        )
-        if metrics is not None:
-            # Surface edge-triggered drift on /metrics, not only on
-            # AuthenticationResult.drift_alerts.
-            for alert in alerts:
-                metrics.drift_alerts.labels(
-                    monitor=alert.monitor, kind=alert.kind
-                ).inc()
-        return tuple(alerts)
 
 
 def _distance_vector(distance: DistanceEstimate) -> np.ndarray:

@@ -25,7 +25,7 @@ name                                      type       labels              observe
 ``echoimage_image_dynamic_range_db``      histogram  —                   acoustic-image max/median pixel range (Eqs. 11-12)
 ``echoimage_image_band_energy``           gauge      ``band``            per-sub-band summed pixel energy
 ``echoimage_feature_embedding_norm``      histogram  —                   mean L2 norm of extracted embeddings
-``echoimage_drift_alerts_total``          counter    ``monitor``, ``kind``  edge-triggered drift alerts raised per monitor
+``echoimage_drift_alerts_total``          counter    ``monitor``, ``kind``  edge-triggered alerts of the serving drift suite, per monitor
 ``echoimage_identify_requests_total``     counter    ``outcome``         store identifications (identified/rejected/empty)
 ``echoimage_identify_candidates``         histogram  —                   prefilter candidate-set sizes (k after clipping)
 ``echoimage_identify_latency_seconds``    histogram  —                   two-stage identify wall time (prefilter + shard)

@@ -26,9 +26,10 @@ shift produces one alert instead of one per observation.
 Example:
     >>> from repro.obs.drift import DriftMonitor
     >>> monitor = DriftMonitor("auth.score", window=8, min_samples=4)
-    >>> monitor.freeze_baseline([1.0, 1.1, 0.9, 1.0, 1.05, 0.95])
-    DriftBaseline(mean=1.0, std=0.06..., count=6)
-    >>> all(not monitor.observe(v) for v in (1.0, 0.97, 1.02, 1.01))
+    >>> baseline = monitor.freeze_baseline([1.0, 1.1, 0.9, 1.0, 1.05, 0.95])
+    >>> round(baseline.mean, 4), round(baseline.std, 4), baseline.count
+    (1.0, 0.0707, 6)
+    >>> all(not monitor.observe(v) for v in (1.0, 1.1, 0.95, 0.9))
     True
     >>> alerts = []
     >>> for v in (3.0, 3.1, 2.9, 3.0):
@@ -40,6 +41,7 @@ Example:
 from __future__ import annotations
 
 import math
+import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -141,8 +143,8 @@ class DriftMonitor:
             leaves ``[1/variance_ratio, variance_ratio]``.
         baseline: Optional pre-frozen baseline.
 
-    Not thread-safe: monitors are per-pipeline objects fed from the
-    thread that owns the pipeline (unlike the shared metrics registry).
+    Not thread-safe: feed a monitor from one thread at a time (a
+    :class:`DriftSuite` serialises its monitors' observations).
     """
 
     def __init__(
@@ -311,15 +313,14 @@ class DriftMonitor:
 class DriftSuite:
     """A named collection of :class:`DriftMonitor` objects.
 
-    The pipeline owns one suite; stages ask for their monitor by name and
-    the suite applies one shared parameterisation
-    (:class:`repro.config.MonitoringConfig` supplies it).
+    Each :class:`~repro.serve.BatchAuthenticator` owns one suite for its
+    bundle, parameterised by the bundle's
+    :class:`repro.config.MonitoringConfig`, and the serving fan-out is
+    the only code that feeds it.  Monitors are created on first use by
+    name and share the suite's parameters.
 
-    Example:
-        >>> suite = DriftSuite(window=8, min_samples=4)
-        >>> m = suite.monitor("auth.score")
-        >>> m is suite.monitor("auth.score")
-        True
+    :meth:`observe` is safe to call while another thread reads
+    :meth:`alerts` (the ``/drift`` endpoint does, from its HTTP thread).
     """
 
     def __init__(
@@ -334,6 +335,8 @@ class DriftSuite:
         self.mean_sigmas = mean_sigmas
         self.variance_ratio = variance_ratio
         self._monitors: dict[str, DriftMonitor] = {}
+        self._alerts: list[DriftAlert] = []
+        self._lock = threading.Lock()
 
     def monitor(self, name: str) -> DriftMonitor:
         """Get or create the monitor registered under ``name``."""
@@ -354,15 +357,20 @@ class DriftSuite:
         return list(self._monitors.values())
 
     def observe(self, name: str, value: float) -> list[DriftAlert]:
-        """Feed one observation into the named monitor."""
-        return self.monitor(name).observe(value)
+        """Feed one observation into the named monitor.
+
+        Returns the newly raised alerts, which the suite also appends
+        to its raise-ordered :meth:`alerts`.
+        """
+        with self._lock:
+            raised = self.monitor(name).observe(value)
+            self._alerts.extend(raised)
+        return raised
 
     def alerts(self) -> list[DriftAlert]:
-        """Every alert raised so far, across monitors, in raise order."""
-        merged: list[DriftAlert] = []
-        for monitor in self.monitors():
-            merged.extend(monitor.alerts)
-        return merged
+        """Every alert :meth:`observe` raised so far, in raise order."""
+        with self._lock:
+            return list(self._alerts)
 
     def to_dict(self) -> dict:
         """Versioned JSON-serialisable snapshot of all monitors."""

@@ -182,8 +182,10 @@ class ObservabilityServer:
         readiness: Zero-argument probe for ``/readyz``; truthy means
             ready.  ``None`` reports ready whenever the server runs.
         drift_source: Zero-argument callable returning the current
-            drift alerts (e.g. ``pipeline.drift.alerts``) for
-            ``/drift``; ``None`` serves an empty alert list.
+            drift alerts for ``/drift`` — typically the serving
+            :class:`~repro.serve.BatchAuthenticator`'s
+            ``drift.alerts``, which lists them in raise order; ``None``
+            serves an empty alert list.
         audit_ledger: :class:`repro.obs.audit.AuditLedger` queried by
             ``/audit``; defaults to the process-wide ledger
             (:func:`repro.obs.audit.get_audit_ledger`) at each request,

@@ -13,8 +13,9 @@ Three pieces:
   restarted service re-arms without re-running enrollment;
 * :class:`BatchAuthenticator` — the worker-pool executor (``serial`` /
   ``thread`` / ``process`` backends via
-  :class:`~repro.config.ServingConfig`), with per-batch timeout and a
-  graceful-degradation ladder;
+  :class:`~repro.config.ServingConfig`), with per-batch timeout, a
+  graceful-degradation ladder and the one drift suite of its served
+  traffic;
 * :class:`AuthenticationRequest` / :class:`AuthenticationResponse` —
   the serving wire format;
 * :class:`RequestBroker` — continuous-ingest front end over the

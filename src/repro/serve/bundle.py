@@ -36,7 +36,8 @@ class ModelBundle:
         single_auth: Fitted single-user authenticator (or ``None``).
         multi_auth: Fitted multi-user authenticator (or ``None``).
         score_baseline: Frozen registration-time ``auth.score``
-            distribution for the drift monitors.
+            distribution, the baseline of the serving drift suite's
+            ``auth.score`` monitor.
 
     A bundle pickled by an older version may carry two more attributes,
     ``steering_plane`` and ``steering_by_band`` (a steering warm start
@@ -80,7 +81,7 @@ class ModelBundle:
             feature_mode=pipeline.feature_extractor.mode,
             single_auth=single,
             multi_auth=multi,
-            score_baseline=pipeline.drift.monitor("auth.score").baseline,
+            score_baseline=pipeline.score_baseline,
         )
 
     def save(self, path) -> "ModelBundle":

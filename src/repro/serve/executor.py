@@ -25,6 +25,11 @@ once it is settled, :func:`repro.serve.outcomes.record_outcomes` feeds
 each response to the metrics, capture store, audit ledger, sentinel and
 flight recorder, in the parent process.
 
+**One drift suite per authenticator.**  Worker pipelines keep no
+monitoring state: the authenticator owns its bundle's
+:class:`~repro.obs.DriftSuite`, and only the fan-out feeds it, so
+every backend and worker count raises the same alerts.
+
 **Captures ride the response.**  With a capture store installed, every
 backend's worker returns the answering attempt's capture on
 ``AuthenticationResponse.capture`` instead of recording it; the
@@ -60,6 +65,7 @@ from typing import Callable
 from repro.config import EchoImageConfig, ExitPolicy, ServingConfig
 from repro.core.pipeline import EchoImagePipeline
 from repro.obs import (
+    DriftSuite,
     FlightRecorder,
     MetricsRegistry,
     PipelineTrace,
@@ -146,8 +152,8 @@ class _WorkerRuntime:
         """Serve one request, degrading on failure.
 
         The whole walk runs inside the request's correlation scope, so
-        every span, drift alert and metric exemplar recorded underneath
-        carries ``request.request_id`` — on the process backend the id
+        every span and metric exemplar recorded underneath carries
+        ``request.request_id`` — on the process backend the id
         travels with the pickled request, which is what keeps serial,
         thread and process runs identically correlated.
 
@@ -281,6 +287,11 @@ class BatchAuthenticator:
             the process-wide recorder
             (:func:`repro.obs.get_flight_recorder`) resolved per batch.
 
+    Attributes:
+        drift: The :class:`~repro.obs.DriftSuite` of this
+            authenticator's served traffic (``/drift`` serves
+            ``drift.alerts``).
+
     Example::
 
         bundle = ModelBundle.from_pipeline(enrolled_pipeline)
@@ -307,6 +318,17 @@ class BatchAuthenticator:
         self._factory = pipeline_factory or _default_factory
         self._recorder = recorder
         self._closed = False
+        monitoring = bundle.config.monitoring
+        self.drift = DriftSuite(
+            window=monitoring.drift_window,
+            min_samples=monitoring.drift_min_samples,
+            mean_sigmas=monitoring.drift_mean_sigmas,
+            variance_ratio=monitoring.drift_variance_ratio,
+        )
+        # ``auth.score`` is judged against the enrollment scores;
+        # ``distance.snr_db`` self-baselines from the first served
+        # attempts (SNR is never measured at enrollment).
+        self.drift.monitor("auth.score").baseline = bundle.score_baseline
         if (
             pipeline_factory is not None
             and self.config.backend == "process"
@@ -458,7 +480,7 @@ class BatchAuthenticator:
                     outcomes.get(response.status, 0) + 1
                 )
             span.update(**{f"num_{k}": v for k, v in outcomes.items()})
-        record_outcomes(
+        return record_outcomes(
             requests,
             responses,
             backend=self.config.backend,
@@ -467,13 +489,8 @@ class BatchAuthenticator:
             recorder=self.recorder,
             bundle=self.bundle,
             batch_trace=batch_trace,
+            drift=self.drift,
         )
-        # Callers (perfbench keeps every response) must not pin the
-        # recordings and stage arrays past the store's own LRU.
-        return [
-            replace(r, capture=None) if r.capture is not None else r
-            for r in responses
-        ]
 
     def _serve_serial(
         self,

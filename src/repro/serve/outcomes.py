@@ -11,7 +11,10 @@ recorder, so a request's audit entry, flight record, sentinel
 observation and capture cannot disagree.  It is the only writer of
 served captures: the worker returns the answering attempt's capture on
 the response, and the fan-out records it once, with its serving
-context.  Sheds were never executed:
+context.  It is also the only feeder of the serving authenticator's
+drift suite: every ``ok`` response's per-beep scores and echo SNR go
+in, in response order, so the alerts do not depend on the backend or
+the worker count.  Sheds were never executed:
 they reach the metrics, the sentinel's admission feed and a ``shed``
 flight event only.
 """
@@ -24,8 +27,11 @@ from typing import Sequence
 
 from repro.core.telemetry import pipeline_metrics
 from repro.obs import (
+    DriftAlert,
+    DriftSuite,
     FlightRecorder,
     PipelineTrace,
+    correlation_scope,
     environment_fingerprint,
     get_audit_ledger,
     get_capture_store,
@@ -34,6 +40,7 @@ from repro.obs import (
 )
 from repro.serve.requests import (
     STATUS_ERROR,
+    STATUS_OK,
     STATUS_SHED,
     STATUS_TIMEOUT,
     AuthenticationRequest,
@@ -51,7 +58,8 @@ def record_outcomes(
     recorder: FlightRecorder | None = None,
     bundle=None,
     batch_trace: PipelineTrace | None = None,
-) -> None:
+    drift: DriftSuite | None = None,
+) -> list[AuthenticationResponse]:
     """Feed resolved requests to every installed observer, once each.
 
     Args:
@@ -73,9 +81,19 @@ def record_outcomes(
         batch_trace: Enclosing batch trace, kept as the decision
             context of timed-out and failed requests (they have no
             worker trace of their own).
+        drift: The serving authenticator's drift suite, fed each ``ok``
+            response's per-beep scores and echo SNR under the response's
+            request id.  The broker's own responses are never ``ok`` and
+            pass none.
+
+    Returns:
+        The responses as callers see them: each carries the drift
+        alerts it raised, and its recorded capture is cleared, so
+        callers that keep responses (perfbench) do not pin recordings
+        and stage arrays past the store's own LRU.
     """
     if not responses:
-        return
+        return []
     metrics = pipeline_metrics()
     store = get_capture_store()
     ledger = get_audit_ledger()
@@ -88,6 +106,7 @@ def record_outcomes(
         else None
     )
     failed: list[str] = []
+    resolved: list[AuthenticationResponse] = []
     for request, response in zip(requests, responses):
         shed = response.status == STATUS_SHED
         if metrics is not None:
@@ -158,15 +177,21 @@ def record_outcomes(
             recorder.record_event(
                 kind, request_id=response.request_id, **details
             )
-        if result is not None:
-            for alert in result.drift_alerts:
-                recorder.record_event(
-                    "drift_alert",
-                    request_id=response.request_id,
-                    monitor=alert.monitor,
-                    alert_kind=alert.kind,
-                    message=alert.message,
-                )
+        alerts: tuple[DriftAlert, ...] = ()
+        if drift is not None and response.status == STATUS_OK:
+            alerts = _observe_drift(drift, response)
+        for alert in alerts:
+            if metrics is not None:
+                metrics.drift_alerts.labels(
+                    monitor=alert.monitor, kind=alert.kind
+                ).inc()
+            recorder.record_event(
+                "drift_alert",
+                request_id=response.request_id,
+                monitor=alert.monitor,
+                alert_kind=alert.kind,
+                message=alert.message,
+            )
         if sentinel is not None:
             if shed:
                 sentinel.observe_admission(
@@ -186,12 +211,36 @@ def record_outcomes(
                     score=max(finite) if finite else None,
                     request_id=response.request_id,
                 )
+        if alerts or response.capture is not None:
+            response = replace(response, capture=None, drift_alerts=alerts)
+        resolved.append(response)
     if failed:
         recorder.auto_dump(
             "batch contained failed requests",
             request_ids=failed,
             backend=backend,
         )
+    return resolved
+
+
+def _observe_drift(
+    drift: DriftSuite, response: AuthenticationResponse
+) -> tuple[DriftAlert, ...]:
+    """Feed one ``ok`` decision to the drift suite; the alerts it raised.
+
+    The scores go in beep by beep, then the echo SNR, inside the
+    response's correlation scope, so each alert names the request whose
+    observation raised it.
+    """
+    result = response.result
+    alerts: list[DriftAlert] = []
+    with correlation_scope(response.request_id):
+        for score in result.scores:
+            alerts += drift.observe("auth.score", score)
+        alerts += drift.observe(
+            "distance.snr_db", result.distance.echo_snr_db
+        )
+    return tuple(alerts)
 
 
 def _status_event(

@@ -15,6 +15,7 @@ from repro.acoustics.scene import BeepRecording
 from repro.core.pipeline import AuthenticationResult
 from repro.obs.capture import RequestCapture
 from repro.obs.correlation import new_request_id
+from repro.obs.drift import DriftAlert
 
 #: The request completed through the full-fidelity pipeline.
 STATUS_OK = "ok"
@@ -136,6 +137,11 @@ class AuthenticationResponse:
             a capture store installed.  The serving fan-out records it
             once and the field is cleared before the response reaches
             callers.
+        drift_alerts: The :class:`~repro.obs.DriftAlert` objects newly
+            raised when the serving fan-out fed this response's per-beep
+            scores and echo SNR to the authenticator's drift suite.
+            Only ``ok`` responses feed the suite, so every other status
+            carries none.
     """
 
     request_id: str
@@ -149,6 +155,7 @@ class AuthenticationResponse:
     early_exit: bool = False
     telemetry: WorkerTelemetry | None = None
     capture: RequestCapture | None = None
+    drift_alerts: tuple[DriftAlert, ...] = ()
 
     def __post_init__(self) -> None:
         if self.status not in STATUSES:

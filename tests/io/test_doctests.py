@@ -1,9 +1,9 @@
 """Run the public docstring examples under the tier-1 suite.
 
-The package quickstart (:mod:`repro`), the config, imaging-plane and
-stage-report examples, and the enrollment-store examples the operator
-docs lean on (``docs/SCALING.md`` links straight to them) are executed
-here instead of trusting prose: a drifting signature or span list
+The package quickstart (:mod:`repro`), the config, imaging-plane,
+stage-report and drift-monitor examples, and the enrollment-store
+examples the operator docs lean on (``docs/SCALING.md`` links straight
+to them) are executed here instead of trusting prose: a drifting signature or span list
 breaks this test, not a reader.
 """
 
@@ -17,6 +17,7 @@ import repro.core.imaging
 import repro.io.storage
 import repro.io.store
 import repro.ml.prefilter
+import repro.obs.drift
 import repro.obs.report
 
 MODULES = (
@@ -26,6 +27,7 @@ MODULES = (
     repro.io.storage,
     repro.io.store,
     repro.ml.prefilter,
+    repro.obs.drift,
     repro.obs.report,
 )
 

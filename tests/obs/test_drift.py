@@ -1,5 +1,8 @@
 """Drift monitors: baselines, triggers, edge semantics and pipeline use."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,6 @@ from repro.config import (
     AuthenticationConfig,
     EchoImageConfig,
     ImagingConfig,
-    MonitoringConfig,
 )
 from repro.obs import (
     SCHEMA_VERSION,
@@ -181,6 +183,51 @@ class TestSuite:
         monitors = {a.monitor for a in suite.alerts()}
         assert monitors == {"a", "b"}
 
+    def test_alerts_keep_raise_order_across_monitors(self):
+        suite = DriftSuite(window=4, min_samples=2)
+        for name in ("a", "b"):
+            suite.monitor(name).freeze_baseline([0.0, 0.01, -0.01])
+        raised = []
+        for name in ("b", "b", "a", "a"):
+            raised += suite.observe(name, 10.0)
+        # ``b`` raised its mean and variance shifts before ``a`` did,
+        # although ``a`` registered first.
+        assert [a.monitor for a in raised] == ["b", "b", "a", "a"]
+        assert suite.alerts() == raised
+
+    def test_alerts_read_while_observing_is_a_prefix(self):
+        # The /drift HTTP thread reads while the fan-out appends: every
+        # snapshot must be a prefix of the final raise-ordered list.
+        suite = DriftSuite(window=4, min_samples=2)
+        suite.monitor("a").freeze_baseline([0.0, 0.01, -0.01])
+        done = threading.Event()
+        snapshots: list = []
+
+        def read():
+            while not done.is_set():
+                snapshots.append(suite.alerts())
+
+        readers = [threading.Thread(target=read) for _ in range(3)]
+        raised = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for reader in readers:
+                reader.start()
+            # Alternate far and near values so the edges keep re-arming.
+            for step in range(400):
+                raised += suite.observe("a", 10.0 if step % 8 < 4 else 0.0)
+        finally:
+            done.set()
+            for reader in readers:
+                reader.join(10.0)
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        final = suite.alerts()
+        assert final == raised and len(final) > 2
+        for snapshot in snapshots:
+            assert snapshot == final[: len(snapshot)]
+
 
 class TestPipelineIntegration:
     def test_enrollment_freezes_score_baseline(
@@ -190,9 +237,6 @@ class TestPipelineIntegration:
             config=EchoImageConfig(
                 imaging=ImagingConfig(grid_resolution=24),
                 auth=AuthenticationConfig(svdd_margin=0.3),
-                monitoring=MonitoringConfig(
-                    drift_window=8, drift_min_samples=4
-                ),
             )
         )
         rng = np.random.default_rng(0)
@@ -201,7 +245,7 @@ class TestPipelineIntegration:
                 chirp, subject.beep_clouds(0.7, 12, rng), rng
             )
         )
-        baseline = pipeline.drift.monitor("auth.score").baseline
+        baseline = pipeline.score_baseline
         assert baseline is not None
         assert baseline.count == 12
 
@@ -210,6 +254,9 @@ class TestPipelineIntegration:
                 chirp, subject.beep_clouds(0.7, 3, rng), rng
             )
         )
-        assert isinstance(result.drift_alerts, tuple)
-        # The score window took the attempt's per-beep scores.
-        assert pipeline.drift.monitor("auth.score").window_stats()[2] == 3
+        # The pipeline keeps no monitoring state: only the serving
+        # fan-out feeds a drift suite, so a standalone attempt raises
+        # no alerts and leaves the baseline as enrollment froze it.
+        assert not hasattr(pipeline, "drift")
+        assert not hasattr(result, "drift_alerts")
+        assert pipeline.score_baseline is baseline

@@ -490,42 +490,63 @@ class TestPrometheusExpositionConformance:
 
 class TestDriftAlertCounter:
     def test_edge_triggered_alerts_are_counted_by_monitor_and_kind(self):
-        from repro.config import MonitoringConfig
+        from repro.acoustics.scene import BeepRecording
         from repro.core.distance import DistanceEstimate
+        from repro.core.pipeline import AuthenticationResult
+        from repro.obs import DriftSuite, FlightRecorder
+        from repro.serve import (
+            STATUS_OK,
+            AuthenticationRequest,
+            AuthenticationResponse,
+        )
+        from repro.serve.outcomes import record_outcomes
 
+        distance = DistanceEstimate(
+            slant_distance_m=0.7,
+            user_distance_m=0.6,
+            echo_delay_s=0.004,
+            direct_delay_s=0.001,
+            averaged_envelope=np.zeros(8),
+            max_set=(),
+            echo_snr_db=30.0,
+        )
+        result = AuthenticationResult(
+            label="user",
+            accepted=True,
+            distance=distance,
+            per_beep_labels=("user",),
+            scores=(5.0,),
+        )
+        recording = BeepRecording(
+            samples=np.zeros((2, 16)), sample_rate=16000.0, emit_index=0
+        )
+        suite = DriftSuite(window=8, min_samples=4)
+        suite.monitor("auth.score").freeze_baseline(
+            [0.0, 0.01, -0.01, 0.005]
+        )
+        recorder = FlightRecorder()
         registry = MetricsRegistry()
         previous = set_registry(registry)
         try:
-            pipeline = EchoImagePipeline(
-                config=EchoImageConfig(
-                    monitoring=MonitoringConfig(
-                        drift_window=8, drift_min_samples=4
-                    )
-                )
-            )
-            pipeline.drift.monitor("auth.score").freeze_baseline(
-                [0.0, 0.01, -0.01, 0.005]
-            )
-            distance = DistanceEstimate(
-                slant_distance_m=0.7,
-                user_distance_m=0.6,
-                echo_delay_s=0.004,
-                direct_delay_s=0.001,
-                averaged_envelope=np.zeros(8),
-                max_set=(),
-                echo_snr_db=30.0,
-            )
             alerts = []
-            for _ in range(6):
-                alerts.extend(
-                    pipeline._record_attempt(
-                        True, np.array([5.0]), distance
-                    )
+            for i in range(6):
+                request = AuthenticationRequest(f"req-{i}", (recording,))
+                response = AuthenticationResponse(
+                    request.request_id, STATUS_OK, result=result
                 )
+                (resolved,) = record_outcomes(
+                    [request], [response], recorder=recorder, drift=suite
+                )
+                alerts.extend(resolved.drift_alerts)
         finally:
             set_registry(previous)
 
         assert alerts, "shifted scores must raise a drift alert"
+        assert alerts == suite.alerts()
+        events = recorder.events(kind="drift_alert")
+        assert [e["request_id"] for e in events] == [
+            a.request_id for a in alerts
+        ]
         family = registry.get("echoimage_drift_alerts_total")
         assert family is not None
         for alert in alerts:

@@ -66,11 +66,14 @@ class TestBuildPipeline:
 
     def test_drift_baseline_restored(self, enrolled, bundle):
         pipeline, _ = enrolled
+        assert bundle.score_baseline is pipeline.score_baseline
         worker = bundle.build_pipeline()
-        assert (
-            worker.drift.monitor("auth.score").baseline
-            is bundle.score_baseline
-        )
+        assert worker.score_baseline is bundle.score_baseline
+        with BatchAuthenticator(bundle) as server:
+            assert (
+                server.drift.monitor("auth.score").baseline
+                is bundle.score_baseline
+            )
 
 
 class TestPickleRoundTrip:
