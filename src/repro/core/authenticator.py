@@ -18,7 +18,6 @@ import numpy as np
 import numpy as _np
 
 from repro.config import AuthenticationConfig
-from repro.core.telemetry import pipeline_metrics
 from repro.ml.kernels import Kernel, median_heuristic_gamma
 from repro.obs import ensure_trace, trace
 from repro.ml.multiclass import OneVsOneSVC
@@ -77,9 +76,9 @@ class DecisionStream:
     :meth:`push` scales one feature row through the enrollment-frozen
     scaler, scores it against the SVDD gate and (multi-user, when the
     gate accepts) votes it through the one-vs-one SVM, returning the
-    updated :class:`StreamSnapshot`.  No metrics are recorded here —
-    the final batch ``decide`` call owns the telemetry, exactly as in
-    the non-streaming path.
+    updated :class:`StreamSnapshot`.  It opens no span, so no metric
+    comes from here — the final batch ``decide`` call's span carries
+    the scores, exactly as in the non-streaming path.
     """
 
     def __init__(self, scaler, svdd, svm=None, lone_label=None) -> None:
@@ -204,19 +203,10 @@ class SingleUserAuthenticator:
         ) as span:
             scores = self.decision_function(features)
             accepted = scores >= 0.0
-            span.set("num_accepted", int(np.count_nonzero(accepted)))
-            metrics = pipeline_metrics()
-            if metrics is not None:
-                score_hist = metrics.auth_score.labels(mode="svdd")
-                for score in scores:
-                    score_hist.observe(float(score))
-                num_accepted = int(np.count_nonzero(accepted))
-                metrics.auth_decisions.labels(decision="accept").inc(
-                    num_accepted
-                )
-                metrics.auth_decisions.labels(decision="spoof_reject").inc(
-                    scores.size - num_accepted
-                )
+            span.update(
+                num_accepted=int(np.count_nonzero(accepted)),
+                scores=tuple(float(score) for score in scores),
+            )
             return accepted, scores
 
     def begin_stream(self, lone_label: object = "user") -> DecisionStream:
@@ -340,7 +330,7 @@ class MultiUserAuthenticator:
         """Per-sample ``(labels, svdd_scores)``.
 
         The gate scores feed the drift monitors; accepted samples also
-        record their n-class SVM vote margin into the metrics registry.
+        put their n-class SVM vote margins on the ``auth.svm`` span.
         ``candidates`` restricts the SVM vote as in :meth:`predict`.
         """
         labels, scores, _ = self.decide_detailed(
@@ -353,8 +343,8 @@ class MultiUserAuthenticator:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-sample ``(labels, svdd_scores, svm_margins)``.
 
-        Identical compute to :meth:`decide` — the margins were always
-        calculated for the metrics registry — but the per-sample SVM
+        Identical compute to :meth:`decide` — the margins are always
+        calculated, for the ``auth.svm`` span — but the per-sample SVM
         vote margins are returned instead of discarded, so the audit
         ledger can record the classifier's confidence behind each
         decision.  Margins are ``nan`` for samples the SVDD gate
@@ -367,23 +357,15 @@ class MultiUserAuthenticator:
         with ensure_trace(), trace(
             "auth.predict", mode="svdd+svm", num_samples=features.shape[0]
         ) as span:
-            metrics = pipeline_metrics()
             scaled = self._scaler.transform(features)
             with trace("auth.svdd", num_samples=features.shape[0]):
                 scores = self._svdd.decision_function(scaled)
                 accepted = scores >= 0.0
             num_accepted = int(np.count_nonzero(accepted))
-            span.set("num_accepted", num_accepted)
-            if metrics is not None:
-                score_hist = metrics.auth_score.labels(mode="svdd+svm")
-                for score in scores:
-                    score_hist.observe(float(score))
-                metrics.auth_decisions.labels(decision="accept").inc(
-                    num_accepted
-                )
-                metrics.auth_decisions.labels(decision="spoof_reject").inc(
-                    scores.size - num_accepted
-                )
+            span.update(
+                num_accepted=num_accepted,
+                scores=tuple(float(score) for score in scores),
+            )
             result = np.full(features.shape[0], SPOOFER_LABEL, dtype=object)
             full_margins = np.full(features.shape[0], np.nan)
             if accepted.any():
@@ -391,15 +373,16 @@ class MultiUserAuthenticator:
                     with trace(
                         "auth.svm",
                         num_samples=num_accepted,
-                    ):
+                    ) as svm_span:
                         labels, margins = self._svm.predict_with_margins(
                             scaled[accepted], candidates=candidates
                         )
                         result[accepted] = labels
                         full_margins[accepted] = margins
-                        if metrics is not None:
-                            for margin in margins:
-                                metrics.auth_margin.observe(float(margin))
+                        svm_span.set(
+                            "margins",
+                            tuple(float(margin) for margin in margins),
+                        )
                 else:
                     result[accepted] = self.user_labels_[0]
             return result, scores, full_margins

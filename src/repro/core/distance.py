@@ -32,7 +32,6 @@ from repro.array.covariance import estimate_noise_covariance
 from repro.array.geometry import MicrophoneArray
 from repro.acoustics.scene import BeepRecording
 from repro.config import BeepConfig, DistanceEstimationConfig
-from repro.core.telemetry import pipeline_metrics
 from repro.obs import ensure_trace, trace
 from repro.signal.analytic import AnalyticCaptures, smooth_envelope
 from repro.signal.chirp import LFMChirp
@@ -275,25 +274,20 @@ class DistanceEstimator:
             sample_rate=sample_rate,
             bytes=int(sum(rec.samples.nbytes for rec in recordings)),
         ) as span:
-            metrics = pipeline_metrics()
             try:
                 estimate = self._estimate_traced(
                     recordings, sample_rate, captures
                 )
             except DistanceEstimationError:
-                if metrics is not None:
-                    metrics.distance_estimates.labels(outcome="no_echo").inc()
+                span.set("outcome", "no_echo")
                 raise
             span.update(
+                outcome="ok",
                 user_distance_m=estimate.user_distance_m,
                 num_peaks=len(estimate.max_set),
                 echo_snr_db=estimate.echo_snr_db,
+                echo_prominence=estimate.echo_prominence,
             )
-            if metrics is not None:
-                metrics.distance_estimates.labels(outcome="ok").inc()
-                metrics.distance_snr_db.observe(estimate.echo_snr_db)
-                metrics.distance_prominence.set(estimate.echo_prominence)
-                metrics.distance_user_m.set(estimate.user_distance_m)
             return estimate
 
     def _estimate_traced(

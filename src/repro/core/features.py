@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import FeatureConfig
-from repro.core.telemetry import pipeline_metrics
 from repro.ml.nn.image_ops import normalize_image, resize_bilinear
 from repro.ml.nn.vggish import MiniVGGish
 from repro.obs import ensure_trace, trace
@@ -36,8 +35,8 @@ class FeatureExtractor:
         256
 
     ``extract`` records a ``features.extract`` span (``num_images``,
-    ``feature_dim``, ``mode``, ``bytes``) into the ambient
-    :mod:`repro.obs` trace.
+    ``feature_dim``, ``mode``, ``bytes``, ``mean_embedding_norm``) into
+    the ambient :mod:`repro.obs` trace.
     """
 
     def __init__(
@@ -89,11 +88,8 @@ class FeatureExtractor:
                     for im in images
                 ]
                 features = np.stack(rows)
-            metrics = pipeline_metrics()
-            if metrics is not None:
-                mean_norm = float(
-                    np.mean(np.linalg.norm(features, axis=1))
-                )
-                metrics.feature_norm.observe(mean_norm)
-                span.set("mean_embedding_norm", mean_norm)
+            span.set(
+                "mean_embedding_norm",
+                float(np.mean(np.linalg.norm(features, axis=1))),
+            )
             return features

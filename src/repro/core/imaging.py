@@ -33,7 +33,6 @@ from repro.array.geometry import MicrophoneArray
 from repro.array.steering import steering_vectors
 from repro.acoustics.scene import BeepRecording
 from repro.config import BeepConfig, ImagingConfig
-from repro.core.telemetry import pipeline_metrics
 from repro.obs import ensure_trace, trace
 from repro.signal.analytic import AnalyticCaptures
 from repro.signal.filters import BandpassFilter
@@ -282,24 +281,16 @@ class AcousticImager:
             bytes=int(sum(rec.samples.nbytes for rec in recordings)),
         ) as span:
             pixels = self._pixels(recordings, plane, captures)  # (L, K)
-            metrics = pipeline_metrics()
-            if metrics is not None:
-                # Imaging fidelity: how far the brightest pixel (the body
-                # reflection of Eqs. 11-12) stands above the clutter floor.
-                for row in pixels:
-                    floor = float(np.median(row)) + 1e-30
-                    dynamic_range_db = 20.0 * np.log10(
-                        float(row.max()) / floor + 1e-30
-                    )
-                    metrics.image_dynamic_range_db.observe(dynamic_range_db)
-                # Like the band-energy gauge, the span keeps the last beep's.
-                span.set("dynamic_range_db", float(dynamic_range_db))
+            span.set(
+                "dynamic_range_db",
+                tuple(_dynamic_range_db(row) for row in pixels),
+            )
             return [
                 row.reshape(plane.resolution, plane.resolution)
                 for row in pixels
             ]
 
-    image_batch = images  # perfbench wraps this name; ROADMAP item 6 drops it
+    image_batch = images  # perfbench wraps this name; ROADMAP item 5 drops it
 
     def _pixels(
         self,
@@ -475,14 +466,18 @@ class AcousticImager:
                     analytic, recording, plane, band_index
                 )
                 any_cached = any_cached or was_cached
-            span.set("table_cached", any_cached)
-            metrics = pipeline_metrics()
-            if metrics is not None:
-                # The gauge holds the band energy of the last beep imaged.
-                metrics.image_band_energy.labels(band=band_index).set(
-                    float(energies[-1].sum())
-                )
+            # The band-energy gauge holds the last beep's.
+            span.update(
+                table_cached=any_cached, energy=float(energies[-1].sum())
+            )
             return energies
+
+
+def _dynamic_range_db(pixels: np.ndarray) -> float:
+    """Imaging fidelity: how far the brightest pixel (the body reflection
+    of Eqs. 11-12) stands above the clutter floor, in dB."""
+    floor = float(np.median(pixels)) + 1e-30
+    return float(20.0 * np.log10(float(pixels.max()) / floor + 1e-30))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from repro.core.distance import DistanceEstimate, DistanceEstimator
 from repro.core.enrollment import build_training_features, stack_user_features
 from repro.core.features import FeatureExtractor
 from repro.core.imaging import AcousticImager, ImagingPlane
-from repro.core.telemetry import pipeline_metrics
 from repro.obs import (
     DriftBaseline,
     PipelineTrace,
@@ -490,14 +489,6 @@ class EchoImagePipeline:
                         beeps_used=len(rows),
                         early_exit=early,
                     )
-                    metrics = pipeline_metrics()
-                    if metrics is not None:
-                        metrics.auth_attempts.labels(
-                            result=(
-                                "accept" if label != SPOOFER_LABEL
-                                else "reject"
-                            )
-                        ).inc()
         result = AuthenticationResult(
             label=label,
             accepted=label != SPOOFER_LABEL,

@@ -13,6 +13,7 @@ the whole dataset a pure function of its configuration.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,8 +155,12 @@ class DatasetBuilder:
         key = (environment, noise_kind, float(noise_level_db))
         if key not in self._scenes:
             room = _ENVIRONMENTS[environment]()
+            # A stable digest, not ``hash``: str hashes are salted per
+            # process, and the clutter must not depend on the process.
             clutter_rng = np.random.default_rng(
-                np.random.SeedSequence([self.seed_base, hash(environment) % (2**31)])
+                np.random.SeedSequence(
+                    [self.seed_base, zlib.crc32(environment.encode()) % (2**31)]
+                )
             )
             num_clutter = {"laboratory": 12, "conference_hall": 16, "outdoor": 5}[
                 environment

@@ -76,7 +76,6 @@ from repro.core.authenticator import (
     MultiUserAuthenticator,
     majority_label,
 )
-from repro.core.telemetry import pipeline_metrics
 from repro.io.storage import StorageError, load_pickle, save_pickle
 from repro.ml.prefilter import CentroidPrefilter
 from repro.obs import (
@@ -85,6 +84,7 @@ from repro.obs import (
     ensure_trace,
     trace,
 )
+from repro.obs.telemetry import pipeline_metrics
 
 #: Manifest schema version.
 MANIFEST_SCHEMA = 1
@@ -385,9 +385,7 @@ class EnrollmentStore:
 
     def _refit(self, shard_id: int, state: ShardState, reason: str) -> None:
         """Refit one shard's gate + SVM from its current members."""
-        metrics = pipeline_metrics()
-        if metrics is not None:
-            metrics.identify_shard_refits.labels(reason=reason).inc()
+        pipeline_metrics().identify_shard_refits.labels(reason=reason).inc()
         if not state.features:
             state.auth = None
             self._states[shard_id] = state
@@ -618,8 +616,6 @@ class EnrollmentStore:
         request_id: str | None = None,
     ) -> None:
         metrics = pipeline_metrics()
-        if metrics is None:
-            return
         metrics.identify_requests.labels(outcome=outcome).inc()
         metrics.identify_candidates.observe(float(num_candidates))
         elapsed = time.perf_counter() - started

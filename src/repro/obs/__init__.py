@@ -1,6 +1,11 @@
 """Pipeline observability: span tracing, profiling, latency reports.
 
-The subsystem has three layers:
+Pipeline stages have one instrumentation channel: they open spans and
+put their values on them.  Every metric of the pipeline is derived from
+the completed traces by one sink, :func:`repro.obs.telemetry.record_trace`,
+registered when this package is imported.
+
+The subsystem's modules:
 
 * :mod:`repro.obs.tracer` — the :func:`trace` span context manager and
   the per-attempt :class:`PipelineTrace` every pipeline stage records
@@ -15,9 +20,11 @@ The subsystem has three layers:
 * :mod:`repro.obs.profiler` — :class:`Profiler`, a sink that collects
   every trace completed while installed;
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` of counters, gauges
-  and fixed-bucket histograms with Prometheus/JSON exposition (the
-  domain metrics recorded by the pipeline live in
-  :mod:`repro.core.telemetry`);
+  and fixed-bucket histograms with Prometheus/JSON exposition;
+* :mod:`repro.obs.telemetry` — the domain metric catalogue and
+  :func:`~repro.obs.telemetry.record_trace`, the sink deriving the
+  pipeline's metrics (and a per-stage latency histogram) from its
+  traces;
 * :mod:`repro.obs.drift` — sliding-window :class:`DriftMonitor` raising
   structured :class:`DriftAlert` objects when score or signal-quality
   distributions shift away from their registration-time baseline;
@@ -77,8 +84,6 @@ from repro.obs.metrics import (
     MetricFamily,
     MetricsRegistry,
     get_registry,
-    metrics_enabled,
-    set_metrics_enabled,
     set_registry,
 )
 from repro.obs.tracer import (
@@ -90,11 +95,13 @@ from repro.obs.tracer import (
     emit_trace,
     ensure_trace,
     remove_sink,
-    set_tracing,
     start_trace,
     trace,
-    tracing_enabled,
 )
+from repro.obs.telemetry import record_trace
+
+add_sink(record_trace)
+
 from repro.obs.drift import (
     DriftAlert,
     DriftBaseline,
@@ -185,8 +192,6 @@ __all__ = [
     "MetricsRegistry",
     "get_registry",
     "set_registry",
-    "metrics_enabled",
-    "set_metrics_enabled",
     "DriftAlert",
     "DriftBaseline",
     "DriftMonitor",
@@ -222,8 +227,6 @@ __all__ = [
     "ensure_trace",
     "emit_trace",
     "current_trace",
-    "set_tracing",
-    "tracing_enabled",
     "add_sink",
     "remove_sink",
     "Profiler",

@@ -43,6 +43,7 @@ import time
 from collections import deque
 
 from repro.obs.metrics import SCHEMA_VERSION
+from repro.obs.telemetry import pipeline_metrics
 from repro.obs.tracer import PipelineTrace
 
 
@@ -83,17 +84,8 @@ class FlightRecorder:
         self._dropped_events = 0
 
     def _count_drop(self, ring: str) -> None:
-        """Ring eviction is no longer silent: bump the dropped counter.
-
-        Imported lazily — :mod:`repro.core.telemetry` pulls in the
-        metrics module, and the flight recorder must stay importable
-        from ``repro.obs`` without touching ``repro.core``.
-        """
-        from repro.core.telemetry import pipeline_metrics
-
-        metrics = pipeline_metrics()
-        if metrics is not None:
-            metrics.flight_dropped.labels(ring=ring).inc()
+        """Ring eviction is no longer silent: bump the dropped counter."""
+        pipeline_metrics().flight_dropped.labels(ring=ring).inc()
 
     # -- recording -----------------------------------------------------
 

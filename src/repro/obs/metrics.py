@@ -19,9 +19,8 @@ Three layers:
   ``"schema": 1``).
 
 A process-wide default registry (:func:`get_registry`) is what the
-pipeline instrumentation in :mod:`repro.core.telemetry` records into;
-swap it with :func:`set_registry` to isolate runs, or silence collection
-entirely with :func:`set_metrics_enabled`.
+trace sink of :mod:`repro.obs.telemetry` and the serving fan-out record
+into; swap it with :func:`set_registry` to isolate runs.
 
 Example:
     >>> from repro.obs.metrics import MetricsRegistry
@@ -226,11 +225,6 @@ class Histogram:
         with self._lock:
             return dict(self._exemplar) if self._exemplar else None
 
-    def set_exemplar(self, exemplar: dict | None) -> None:
-        """Replace the retained exemplar (cross-process merge hook)."""
-        with self._lock:
-            self._exemplar = dict(exemplar) if exemplar else None
-
     @property
     def sum(self) -> float:
         """Sum of all observations."""
@@ -247,30 +241,6 @@ class Histogram:
         """Per-bucket (non-cumulative) counts, ``+Inf`` bucket last."""
         with self._lock:
             return tuple(self._bucket_counts)
-
-    def add_counts(
-        self, bucket_counts: Sequence[int], sum: float, count: int
-    ) -> None:
-        """Fold another histogram's raw counts into this one.
-
-        This is the histogram half of cross-process metric merging
-        (:meth:`MetricsRegistry.merge`): ``bucket_counts`` must be the
-        non-cumulative per-bucket counts of a histogram with identical
-        bounds, ``+Inf`` bucket last.
-        """
-        counts = [int(c) for c in bucket_counts]
-        if len(counts) != len(self.bounds) + 1:
-            raise MetricError(
-                f"expected {len(self.bounds) + 1} bucket counts, "
-                f"got {len(counts)}"
-            )
-        if any(c < 0 for c in counts) or count < 0:
-            raise MetricError("histogram counts cannot be negative")
-        with self._lock:
-            for i, c in enumerate(counts):
-                self._bucket_counts[i] += c
-            self._sum += float(sum)
-            self._count += int(count)
 
     def cumulative_counts(self) -> tuple[int, ...]:
         """Cumulative counts as exposed by Prometheus ``_bucket`` series."""
@@ -569,7 +539,7 @@ class MetricsRegistry:
 
         Carries the :func:`~repro.obs.envinfo.environment_fingerprint`
         of the producing process, so dumps from different machines or
-        commits stay comparable; :meth:`merge` ignores the field.
+        commits stay comparable.
         """
         from repro.obs.envinfo import environment_fingerprint
 
@@ -615,64 +585,6 @@ class MetricsRegistry:
         """The :meth:`to_dict` snapshot as a JSON document."""
         return json.dumps(self.to_dict(), **kwargs)
 
-    # -- cross-process propagation -------------------------------------
-
-    def snapshot(self) -> dict:
-        """A serialisable snapshot suitable for :meth:`merge`.
-
-        A worker process collects into a fresh registry, snapshots it
-        and ships the (JSON-serialisable, hence picklable) document back
-        to the parent, which folds it into its own registry.  Because
-        the worker registry starts empty, the snapshot *is* the delta.
-        """
-        return self.to_dict()
-
-    def merge(self, snapshot: dict) -> None:
-        """Fold a :meth:`snapshot` document into this registry.
-
-        Counter values and histogram bucket counts/sums are treated as
-        deltas and added; gauges are last-write-wins (the snapshot's
-        value replaces the local one).  Families missing locally are
-        registered from the snapshot's metadata, so merging into an
-        empty registry reproduces the worker's totals exactly.
-
-        Raises:
-            MetricError: On a schema the registry does not understand or
-                a kind/label/bucket conflict with an existing family.
-        """
-        version = snapshot.get("schema")
-        if version != SCHEMA_VERSION:
-            raise MetricError(
-                f"cannot merge metrics snapshot with schema {version!r} "
-                f"(expected {SCHEMA_VERSION})"
-            )
-        for entry in snapshot.get("metrics", []):
-            kind = entry["type"]
-            if kind not in _KINDS:
-                raise MetricError(f"unknown metric kind {kind!r}")
-            family = self._register(
-                kind,
-                entry["name"],
-                entry.get("help", ""),
-                tuple(entry.get("label_names", ())),
-                tuple(entry["buckets"]) if kind == "histogram" else None,
-            )
-            for sample in entry.get("samples", []):
-                child = family.labels(**sample.get("labels", {}))
-                if kind == "counter":
-                    child.inc(sample["value"])
-                elif kind == "gauge":
-                    child.set(sample["value"])
-                else:
-                    child.add_counts(
-                        sample["bucket_counts"],
-                        sample["sum"],
-                        sample["count"],
-                    )
-                    exemplar = sample.get("exemplar")
-                    if exemplar is not None:  # last-write-wins, like gauges
-                        child.set_exemplar(exemplar)
-
 
 def _label_text(label_dict: dict) -> str:
     if not label_dict:
@@ -700,7 +612,6 @@ def _histogram_lines(
 
 _DEFAULT_LOCK = threading.Lock()
 _DEFAULT_REGISTRY = MetricsRegistry()
-_METRICS_ENABLED = True
 
 
 def get_registry() -> MetricsRegistry:
@@ -720,19 +631,3 @@ def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
         previous = _DEFAULT_REGISTRY
         _DEFAULT_REGISTRY = registry
         return previous
-
-
-def set_metrics_enabled(enabled: bool) -> None:
-    """Globally enable/disable pipeline metric recording (default on).
-
-    The registry itself keeps working; this only short-circuits the
-    :mod:`repro.core.telemetry` instrumentation, which is how the
-    metrics-overhead benchmark measures the cost of collection.
-    """
-    global _METRICS_ENABLED
-    _METRICS_ENABLED = bool(enabled)
-
-
-def metrics_enabled() -> bool:
-    """Whether pipeline instrumentation currently records metrics."""
-    return _METRICS_ENABLED

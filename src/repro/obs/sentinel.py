@@ -72,6 +72,7 @@ from repro.config import SentinelConfig
 from repro.obs.drift import DriftMonitor
 from repro.obs.flight import get_flight_recorder
 from repro.obs.metrics import SCHEMA_VERSION
+from repro.obs.telemetry import pipeline_metrics
 
 #: Rule names (the ``rule`` label on ``echoimage_security_alerts_total``).
 RULE_REJECT_SPIKE = "reject_spike"
@@ -275,19 +276,10 @@ class AlertEngine:
         return [alert]
 
     def _route(self, alert: SecurityAlert) -> None:
-        """Count the alert and write it into the flight recorder.
-
-        The metrics import is lazy for the same reason as in
-        :mod:`repro.obs.flight`: :mod:`repro.core.telemetry` must not be
-        pulled in while ``repro.obs`` is still importing.
-        """
-        from repro.core.telemetry import pipeline_metrics
-
-        metrics = pipeline_metrics()
-        if metrics is not None:
-            metrics.security_alerts.labels(
-                rule=alert.rule, severity=alert.severity
-            ).inc()
+        """Count the alert and write it into the flight recorder."""
+        pipeline_metrics().security_alerts.labels(
+            rule=alert.rule, severity=alert.severity
+        ).inc()
         document = alert.to_dict()
         document.pop("schema", None)
         get_flight_recorder().record_event("security_alert", **document)

@@ -1,9 +1,9 @@
 """Declarative SLOs with error-budget accounting and burn-rate windows.
 
 Metrics say what the system *did*; an SLO says what it *promised*.  This
-module turns the serving-layer counters and latency histogram that
-:mod:`repro.core.telemetry` already records into budget arithmetic an
-on-call rotation can act on:
+module turns the serving-layer counters and latency histogram of the
+:mod:`repro.obs.telemetry` catalogue, which the serving fan-out records,
+into budget arithmetic an on-call rotation can act on:
 
 * :class:`SLOConfig` declares the objectives — an **availability**
   target (fraction of requests that complete ``ok``/``degraded``) and a

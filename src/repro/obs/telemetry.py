@@ -1,13 +1,18 @@
-"""Domain metrics recorded by the EchoImage pipeline.
+"""Domain metrics of the EchoImage pipeline, derived from its traces.
 
-One module owns the metric catalogue so every stage emits consistent
+One module owns the metric catalogue so every family has consistent
 names and the full table can be documented (and asserted against) in one
 place — see the "Metrics & drift monitoring" section of
-``docs/ARCHITECTURE.md``.  Stages call :func:`pipeline_metrics` and
-record into the returned handle bundle; when metrics are globally
-disabled (:func:`repro.obs.set_metrics_enabled`) the accessor returns
-``None`` and the stage skips recording, which is how the
-metrics-overhead benchmark isolates the cost of collection.
+``docs/ARCHITECTURE.md``.
+
+Pipeline stages never touch the registry: they put the values their
+families need on their own spans, and :func:`record_trace` — the one
+trace sink :mod:`repro.obs` registers on import — turns every completed
+trace into metrics, walking its spans in order.  So a ``process``
+serving worker needs to ship nothing but its traces: the parent
+re-emits them, and each becomes metrics once, there.  The serving
+layer, the enrollment store, the flight recorder and the sentinel
+record their own families through :func:`pipeline_metrics`.
 
 The catalogue (all names prefixed ``echoimage_``):
 
@@ -39,6 +44,7 @@ name                                      type       labels              observe
 ``echoimage_stream_exits_total``          counter    ``stage``           streaming decisions by exit point (early/full)
 ``echoimage_stream_beeps_used``           histogram  —                   beeps consumed per streaming decision
 ``echoimage_security_alerts_total``       counter    ``rule``, ``severity``  security-sentinel alerts fired per rule
+``echoimage_stage_latency_seconds``       histogram  ``stage``           wall time of the :data:`TIMED_STAGES` spans
 ========================================  =========  ==================  =====================================
 
 The ``tenant`` label is bounded-cardinality: the first
@@ -60,12 +66,8 @@ from __future__ import annotations
 import hashlib
 import threading
 
-from repro.obs.metrics import (
-    MetricFamily,
-    MetricsRegistry,
-    get_registry,
-    metrics_enabled,
-)
+from repro.obs.metrics import MetricFamily, MetricsRegistry, get_registry
+from repro.obs.tracer import PipelineTrace
 
 #: Distinct tenants that keep their verbatim name on the ``tenant``
 #: metric label; later arrivals hash into ``bucket-<k>``.
@@ -112,6 +114,22 @@ IDENTIFY_LATENCY_BUCKETS = (
 #: Buckets for beeps consumed per streaming decision (attempts are a
 #: handful of beeps; the paper uses up to 8).
 STREAM_BEEP_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0)
+
+#: Buckets for per-stage wall time: a CNN pass over one small image
+#: takes about a millisecond, a paper-grid attempt tens of milliseconds.
+STAGE_LATENCY_BUCKETS = (
+    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0,
+)
+
+#: The span names ``echoimage_stage_latency_seconds`` times, and so the
+#: only values of its ``stage`` label.
+TIMED_STAGES = (
+    "authenticate",
+    "distance.estimate",
+    "imaging.image",
+    "features.extract",
+    "auth.predict",
+)
 
 
 class PipelineMetrics:
@@ -247,6 +265,12 @@ class PipelineMetrics:
             "Security-sentinel alerts fired, by rule and severity",
             labels=("rule", "severity"),
         )
+        self.stage_latency: MetricFamily = registry.histogram(
+            "echoimage_stage_latency_seconds",
+            "Wall time of one pipeline stage span, by stage",
+            labels=("stage",),
+            buckets=STAGE_LATENCY_BUCKETS,
+        )
         self._tenant_lock = threading.Lock()
         self._tenant_seen: set[str] = set()
 
@@ -275,15 +299,8 @@ class PipelineMetrics:
 _BOUND: dict[int, tuple[MetricsRegistry, PipelineMetrics]] = {}
 
 
-def pipeline_metrics() -> PipelineMetrics | None:
-    """The pipeline metric handles for the current default registry.
-
-    Returns ``None`` when metric recording is globally disabled, so call
-    sites read ``m = pipeline_metrics(); if m is not None: ...`` and pay
-    a single function call on the disabled path.
-    """
-    if not metrics_enabled():
-        return None
+def pipeline_metrics() -> PipelineMetrics:
+    """The pipeline metric handles for the current default registry."""
     registry = get_registry()
     key = id(registry)
     bound = _BOUND.get(key)
@@ -292,3 +309,92 @@ def pipeline_metrics() -> PipelineMetrics | None:
         _BOUND.clear()  # one registry is live at a time; drop stale refs
         _BOUND[key] = bound
     return bound[1]
+
+
+def _record_authenticate(metrics: PipelineMetrics, attributes: dict) -> None:
+    accepted = attributes.get("accepted")
+    if accepted is not None:
+        metrics.auth_attempts.labels(
+            result="accept" if accepted else "reject"
+        ).inc()
+
+
+def _record_distance(metrics: PipelineMetrics, attributes: dict) -> None:
+    outcome = attributes.get("outcome")
+    if outcome is None:
+        return
+    metrics.distance_estimates.labels(outcome=outcome).inc()
+    if outcome == "ok":
+        metrics.distance_snr_db.observe(attributes["echo_snr_db"])
+        metrics.distance_prominence.set(attributes["echo_prominence"])
+        metrics.distance_user_m.set(attributes["user_distance_m"])
+
+
+def _record_image(metrics: PipelineMetrics, attributes: dict) -> None:
+    for dynamic_range_db in attributes.get("dynamic_range_db", ()):
+        metrics.image_dynamic_range_db.observe(dynamic_range_db)
+
+
+def _record_band(metrics: PipelineMetrics, attributes: dict) -> None:
+    energy = attributes.get("energy")
+    if energy is not None:
+        metrics.image_band_energy.labels(band=attributes["band"]).set(energy)
+
+
+def _record_features(metrics: PipelineMetrics, attributes: dict) -> None:
+    norm = attributes.get("mean_embedding_norm")
+    if norm is not None:
+        metrics.feature_norm.observe(norm)
+
+
+def _record_predict(metrics: PipelineMetrics, attributes: dict) -> None:
+    scores = attributes.get("scores")
+    if scores is None:
+        return
+    score_hist = metrics.auth_score.labels(mode=attributes["mode"])
+    for score in scores:
+        score_hist.observe(score)
+    num_accepted = attributes["num_accepted"]
+    metrics.auth_decisions.labels(decision="accept").inc(num_accepted)
+    metrics.auth_decisions.labels(decision="spoof_reject").inc(
+        len(scores) - num_accepted
+    )
+
+
+def _record_svm(metrics: PipelineMetrics, attributes: dict) -> None:
+    for margin in attributes.get("margins", ()):
+        metrics.auth_margin.observe(margin)
+
+
+#: Span name -> the recorder of the families read from that span.
+_RECORDERS = {
+    "authenticate": _record_authenticate,
+    "distance.estimate": _record_distance,
+    "imaging.image": _record_image,
+    "imaging.band": _record_band,
+    "features.extract": _record_features,
+    "auth.predict": _record_predict,
+    "auth.svm": _record_svm,
+}
+
+
+def record_trace(completed: PipelineTrace) -> None:
+    """Turn one completed trace into pipeline metrics.
+
+    The spans are walked depth-first, in the order they were opened, so
+    counters, histograms and last-write gauges see the values in the
+    order the stages produced them.  A span the stage left without its
+    values (it raised first) records only its wall time.
+    """
+    metrics = None
+    for span in completed.iter_spans():
+        record = _RECORDERS.get(span.name)
+        if record is None:
+            continue
+        if metrics is None:
+            metrics = pipeline_metrics()
+        record(metrics, span.attributes)
+        if span.name in TIMED_STAGES:
+            metrics.stage_latency.labels(stage=span.name).observe(
+                span.duration_s
+            )

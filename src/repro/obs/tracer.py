@@ -18,6 +18,11 @@ Usage is two context managers:
 The active trace is tracked per thread (``threading.local``), so
 concurrent attempts on different threads collect into separate traces.
 
+Every completed trace goes to the registered sinks (:func:`add_sink`).
+One sink, :func:`repro.obs.telemetry.record_trace`, is always registered:
+it derives every pipeline metric from the values the stages put on their
+spans, so tracing is always on.
+
 Example:
     >>> from repro.obs import start_trace, trace
     >>> with start_trace() as t:
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 import time
 from contextlib import contextmanager
@@ -317,20 +323,21 @@ class _TraceState(threading.local):
 
 
 _STATE = _TraceState()
-_ENABLED = True
 _SINK_LOCK = threading.Lock()
 _SINKS: list = []
 
 
-def set_tracing(enabled: bool) -> None:
-    """Globally enable/disable trace collection (enabled by default)."""
-    global _ENABLED
-    _ENABLED = bool(enabled)
+def _forget_sinks_after_fork() -> None:
+    # A forked child (a ``process`` serving worker) must not call the
+    # parent's sinks on its copies: the parent sees the child's traces
+    # only when they are shipped home and re-emitted there.
+    global _SINK_LOCK
+    _SINK_LOCK = threading.Lock()
+    _SINKS.clear()
 
 
-def tracing_enabled() -> bool:
-    """Whether :func:`start_trace` currently collects spans."""
-    return _ENABLED
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_sinks_after_fork)
 
 
 def current_trace() -> PipelineTrace | None:
@@ -345,7 +352,9 @@ def add_sink(sink) -> None:
 
     Sinks observe every :func:`start_trace` region that finishes on any
     thread — this is how :class:`repro.obs.Profiler` aggregates across
-    attempts without threading a collector through the pipeline API.
+    attempts without threading a collector through the pipeline API,
+    and how :func:`repro.obs.telemetry.record_trace` derives the
+    pipeline metrics.  A forked child process starts with no sinks.
     """
     with _SINK_LOCK:
         _SINKS.append(sink)
@@ -371,10 +380,10 @@ def emit_trace(completed: PipelineTrace) -> None:
     """Deliver an already-completed trace to every registered sink.
 
     The serving layer uses this to *replay* traces that were collected
-    in a worker process: the worker serialises each completed trace and
-    ships it back with the response, and the parent emits it here so
-    sinks (e.g. :class:`repro.obs.Profiler`) observe exactly what they
-    would have seen had the attempt run in-process.
+    in a worker process: the worker ships each completed trace back
+    with the response, and the parent emits it here so sinks (the
+    metrics sink, a :class:`repro.obs.Profiler`) observe exactly what
+    they would have seen had the attempt run in-process.
     """
     _notify_sinks(completed)
 
@@ -388,18 +397,12 @@ def start_trace():
     every :class:`~repro.core.pipeline.AuthenticationResult`).  On exit
     the completed trace is delivered to every registered sink.
 
-    When tracing is disabled via :func:`set_tracing`, the yielded trace
-    stays empty and sinks are not notified.
-
     When an ambient correlation id is active
     (:func:`repro.obs.correlation.correlation_scope`), the trace is
     stamped with it — on entry and again on exit, so a scope opened
     between the two still correlates the trace.
     """
     collected = PipelineTrace(request_id=current_request_id())
-    if not _ENABLED:
-        yield collected
-        return
     _STATE.traces.append((collected, time.perf_counter()))
     _STATE.spans.append([])
     try:

@@ -63,9 +63,9 @@ from concurrent.futures import Future
 from time import monotonic
 
 from repro.config import BrokerConfig, ExitPolicy
-from repro.core.telemetry import pipeline_metrics
 from repro.obs import ensure_trace, get_security_sentinel, trace
 from repro.obs.slo import SLOTracker
+from repro.obs.telemetry import pipeline_metrics
 from repro.serve.executor import BatchAuthenticator
 from repro.serve.outcomes import record_outcomes
 from repro.serve.requests import (
@@ -356,9 +356,7 @@ class RequestBroker:
         return responses
 
     def _set_depth_gauge(self, depth: int) -> None:
-        metrics = pipeline_metrics()
-        if metrics is not None:
-            metrics.broker_queue_depth.set(float(depth))
+        pipeline_metrics().broker_queue_depth.set(float(depth))
 
     # -- lifecycle -----------------------------------------------------
 

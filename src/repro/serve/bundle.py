@@ -143,7 +143,7 @@ class ModelBundle:
     def build_pipeline(
         self,
         config: EchoImageConfig | None = None,
-        # Ignored; perfbench still passes it (ROADMAP item 6 drops it).
+        # Ignored; perfbench still passes it (ROADMAP item 5 drops it).
         batched_imaging: bool = True,
     ) -> EchoImagePipeline:
         """A worker pipeline wired to this bundle's shared model state.

@@ -36,16 +36,16 @@ backend's worker returns the answering attempt's capture on
 fan-out records it once.  So a request abandoned at the batch deadline
 leaves no capture, as it leaves no ledger entry of its own.
 
-**Cross-worker telemetry propagation.**  Serial and thread workers
-record pipeline metrics and traces straight into the parent's global
-registry and sinks.  Process workers cannot — their increments land in
-the worker interpreter and would be silently lost — so ``_process_run``
-serves each request against a fresh registry and a trace-collecting
-sink, and ships what they collected home as the response's one
-:class:`~repro.serve.requests.WorkerTelemetry` payload.  The parent
-merges the metric delta into its registry and replays the traces
-through the sink API, then strips the payload, making all three
-backends report identical totals.
+**Cross-worker telemetry propagation.**  Pipeline metrics are derived
+from completed traces by the parent's trace sinks
+(:func:`repro.obs.telemetry.record_trace`).  Serial and thread workers
+complete their traces in the parent process, so the sinks see them
+directly.  A process worker starts with no sinks (the tracer forgets
+them in a forked child): ``_process_run`` collects the request's traces
+and ships them home on ``AuthenticationResponse.worker_traces``, and
+the parent emits them to its sinks and clears the field.  So every
+trace becomes metrics once, in the parent, in response order, and all
+three backends report identical metrics.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ from repro.core.pipeline import EchoImagePipeline
 from repro.obs import (
     DriftSuite,
     FlightRecorder,
-    MetricsRegistry,
     PipelineTrace,
     add_sink,
     correlation_scope,
@@ -75,10 +74,7 @@ from repro.obs import (
     ensure_trace,
     get_capture_store,
     get_flight_recorder,
-    get_registry,
-    metrics_enabled,
     remove_sink,
-    set_registry,
     trace,
 )
 from repro.obs.capture import collect_captures
@@ -92,13 +88,12 @@ from repro.serve.requests import (
     STATUS_TIMEOUT,
     AuthenticationRequest,
     AuthenticationResponse,
-    WorkerTelemetry,
 )
 
 #: Signature of the pipeline-construction seam: ``(bundle, config,
 #: unused) -> pipeline``.  Tests inject crashing/hanging pipelines
 #: through it; production leaves it at :meth:`ModelBundle.build_pipeline`.
-#: Unused third argument: perfbench's ``batched_imaging`` (ROADMAP item 6).
+#: Unused third argument: perfbench's ``batched_imaging`` (ROADMAP item 5).
 PipelineFactory = Callable[
     [ModelBundle, EchoImageConfig | None, bool], EchoImagePipeline
 ]
@@ -244,32 +239,20 @@ def _process_run(
     exit_policy: ExitPolicy | None,
     capture: bool,
 ) -> AuthenticationResponse:
-    """Serve one request in a worker interpreter, capturing telemetry.
+    """Serve one request in a worker interpreter, collecting its traces.
 
-    The request runs against a fresh, empty metrics registry and a
-    trace-collecting sink.  The registry snapshot afterwards *is* the
-    request's metric delta; it rides home with the completed traces as
-    the response's one :class:`~repro.serve.requests.WorkerTelemetry`
-    payload (see ``BatchAuthenticator._finalize_response``), and the
-    request's capture, when asked for, on the response itself.
+    The traces completed while serving ride home on
+    ``worker_traces`` (see ``BatchAuthenticator._finalize_response``),
+    and the request's capture, when asked for, on the response itself.
     """
     assert _PROCESS_RUNTIME is not None, "pool initializer did not run"
-    fresh = MetricsRegistry()
     traces: list[PipelineTrace] = []
-    previous = set_registry(fresh)
     add_sink(traces.append)
     try:
         response = _PROCESS_RUNTIME.run(request, exit_policy, capture)
     finally:
         remove_sink(traces.append)
-        set_registry(previous)
-    return replace(
-        response,
-        telemetry=WorkerTelemetry(
-            metrics=fresh.snapshot(),
-            traces=tuple(t for t in traces if t),
-        ),
-    )
+    return replace(response, worker_traces=tuple(t for t in traces if t))
 
 
 class BatchAuthenticator:
@@ -555,23 +538,18 @@ class BatchAuthenticator:
     def _finalize_response(
         self, response: AuthenticationResponse
     ) -> AuthenticationResponse:
-        """Apply (and strip) a process worker's telemetry payload.
+        """Emit (and clear) a process worker's traces.
 
-        The worker's metric delta is merged into the parent's global
-        registry — counters and histograms add, gauges are last-write —
-        and its traces are replayed through the parent's sink API, so
-        the ``process`` backend reports the same totals as ``serial``
-        and ``thread``.  Thread/serial responses carry no payload and
-        pass through untouched.
+        The parent's sinks — the metrics sink among them — see each
+        worker trace exactly as they would have seen it had the attempt
+        run in-process.  Thread responses carry none and pass through
+        untouched.
         """
-        telemetry = response.telemetry
-        if telemetry is None:
+        if not response.worker_traces:
             return response
-        if metrics_enabled():
-            get_registry().merge(telemetry.metrics)
-        for worker_trace in telemetry.traces:
+        for worker_trace in response.worker_traces:
             emit_trace(worker_trace)
-        return replace(response, telemetry=None)
+        return replace(response, worker_traces=())
 
     def _timeout_response(
         self, request: AuthenticationRequest

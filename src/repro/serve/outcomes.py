@@ -25,7 +25,6 @@ import math
 from dataclasses import replace
 from typing import Sequence
 
-from repro.core.telemetry import pipeline_metrics
 from repro.obs import (
     DriftAlert,
     DriftSuite,
@@ -38,6 +37,7 @@ from repro.obs import (
     get_flight_recorder,
     get_security_sentinel,
 )
+from repro.obs.telemetry import pipeline_metrics
 from repro.serve.requests import (
     STATUS_ERROR,
     STATUS_OK,
@@ -109,34 +109,31 @@ def record_outcomes(
     resolved: list[AuthenticationResponse] = []
     for request, response in zip(requests, responses):
         shed = response.status == STATUS_SHED
-        if metrics is not None:
-            tenant = metrics.tenant_label(request.tenant)
-            metrics.serve_requests.labels(
-                outcome=response.status, tenant=tenant
+        tenant = metrics.tenant_label(request.tenant)
+        metrics.serve_requests.labels(
+            outcome=response.status, tenant=tenant
+        ).inc()
+        if shed:
+            metrics.broker_shed.labels(
+                reason=response.shed_reason, tenant=tenant
             ).inc()
-            if shed:
-                metrics.broker_shed.labels(
-                    reason=response.shed_reason, tenant=tenant
-                ).inc()
-            if response.degradation is not None:
-                metrics.serve_degradations.labels(
-                    step=response.degradation
-                ).inc()
-            if response.latency_s is not None:
-                metrics.serve_request_latency.labels().observe(
-                    response.latency_s,
-                    exemplar={
-                        "request_id": response.request_id,
-                        "value": response.latency_s,
-                    },
-                )
-            if streaming and response.beeps_used is not None:
-                metrics.stream_exits.labels(
-                    stage="early" if response.early_exit else "full"
-                ).inc()
-                metrics.stream_beeps_used.observe(
-                    float(response.beeps_used)
-                )
+        if response.degradation is not None:
+            metrics.serve_degradations.labels(
+                step=response.degradation
+            ).inc()
+        if response.latency_s is not None:
+            metrics.serve_request_latency.labels().observe(
+                response.latency_s,
+                exemplar={
+                    "request_id": response.request_id,
+                    "value": response.latency_s,
+                },
+            )
+        if streaming and response.beeps_used is not None:
+            metrics.stream_exits.labels(
+                stage="early" if response.early_exit else "full"
+            ).inc()
+            metrics.stream_beeps_used.observe(float(response.beeps_used))
         result = response.result
         failure = response.status in (STATUS_TIMEOUT, STATUS_ERROR)
         if failure:

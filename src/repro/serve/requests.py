@@ -4,18 +4,21 @@ A serving client wraps each authentication attempt (the L beep captures
 of one user interaction) in an :class:`AuthenticationRequest` and submits
 many of them at once to :class:`repro.serve.BatchAuthenticator`, which
 returns one :class:`AuthenticationResponse` per request in input order.
+A ``process`` worker's response also carries the traces the worker
+completed; the parent emits them to its trace sinks, which derive the
+metrics, and clears them before callers see the response.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from repro.acoustics.scene import BeepRecording
 from repro.core.pipeline import AuthenticationResult
 from repro.obs.capture import RequestCapture
 from repro.obs.correlation import new_request_id
 from repro.obs.drift import DriftAlert
+from repro.obs.tracer import PipelineTrace
 
 #: The request completed through the full-fidelity pipeline.
 STATUS_OK = "ok"
@@ -84,20 +87,6 @@ class AuthenticationRequest:
         return len(self.recordings)
 
 
-class WorkerTelemetry(NamedTuple):
-    """What a ``process`` worker observed while serving one request.
-
-    Attributes:
-        metrics: The worker's metric increments, as a
-            :meth:`repro.obs.MetricsRegistry.snapshot` document.
-        traces: The :class:`~repro.obs.PipelineTrace` objects completed
-            in the worker.
-    """
-
-    metrics: dict
-    traces: tuple
-
-
 @dataclass(frozen=True)
 class AuthenticationResponse:
     """Outcome of one served request.
@@ -127,11 +116,11 @@ class AuthenticationResponse:
             beep.  Mutually exclusive with ``degradation`` by
             construction: degraded retries run the non-streaming
             pipeline, so a response never carries both.
-        telemetry: The ``process`` backend's :class:`WorkerTelemetry`
-            payload.  The parent applies it to its registry and trace
-            sinks and strips the field before the response reaches
-            callers, so serial, thread and process backends report
-            identical totals.
+        worker_traces: The traces a ``process`` worker completed while
+            serving the request.  The parent emits them to its trace
+            sinks, which derive the pipeline metrics, and clears the
+            field before the response reaches callers, so serial,
+            thread and process backends report identical metrics.
         capture: The :class:`~repro.obs.RequestCapture` of the attempt
             that answered, collected by the worker when the parent has
             a capture store installed.  The serving fan-out records it
@@ -153,7 +142,7 @@ class AuthenticationResponse:
     shed_reason: str | None = None
     beeps_used: int | None = None
     early_exit: bool = False
-    telemetry: WorkerTelemetry | None = None
+    worker_traces: tuple[PipelineTrace, ...] = ()
     capture: RequestCapture | None = None
     drift_alerts: tuple[DriftAlert, ...] = ()
 

@@ -1,5 +1,10 @@
 """Tests for the simulated data-collection harness."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -46,6 +51,28 @@ class TestScenes:
         outdoor = builder.scene("outdoor")
         assert lab.room.width_m != outdoor.room.width_m
         assert len(outdoor.room.surfaces) == 1
+
+    def test_clutter_does_not_depend_on_the_process_hash_seed(self):
+        # str hashes are salted per process (PYTHONHASHSEED), so a
+        # clutter layout seeded from one would differ between runs.
+        script = (
+            "from repro.eval.dataset import DatasetBuilder\n"
+            "clutter = DatasetBuilder().scene('laboratory').clutter\n"
+            "print(clutter.positions.tobytes().hex())\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+
+        def clutter_under(hash_seed: str) -> str:
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [str(src), env.get("PYTHONPATH")])
+            )
+            return subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout
+
+        assert clutter_under("1") == clutter_under("2")
 
 
 class TestCollection:

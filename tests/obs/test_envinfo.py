@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 import platform
+import subprocess
+
+import pytest
 
 from repro.obs import FlightRecorder, MetricsRegistry
-from repro.obs.envinfo import environment_fingerprint
+from repro.obs.envinfo import _git_sha, environment_fingerprint
 from repro.obs.report import render_json
 
 
@@ -14,6 +17,22 @@ EXPECTED_KEYS = {
     "git_sha", "python", "numpy", "platform", "machine", "hostname",
     "cpu_count", "repro_scale",
 }
+
+
+@pytest.fixture
+def uncached_git_sha():
+    """The per-process git sha cache, cleared before and after."""
+    _git_sha.cache_clear()
+    yield
+    _git_sha.cache_clear()
+
+
+def git(cwd, *args) -> str:
+    return subprocess.run(
+        ["git", "-c", "user.name=test", "-c", "user.email=test@invalid",
+         "-c", "commit.gpgsign=false", *args],
+        cwd=cwd, check=True, capture_output=True, text=True,
+    ).stdout.strip()
 
 
 class TestFingerprint:
@@ -31,12 +50,36 @@ class TestFingerprint:
             platform.python_version()
         )
 
-    def test_git_sha_resolves_inside_the_repo(self):
-        # The test process runs from the repository checkout, so the sha
-        # must be a full 40-hex commit (or CI's GITHUB_SHA).
-        sha = environment_fingerprint()["git_sha"]
-        assert isinstance(sha, str) and len(sha) == 40
-        int(sha, 16)
+    def test_git_sha_resolves_inside_the_repo(
+        self, tmp_path, monkeypatch, uncached_git_sha
+    ):
+        # A repository of its own, so the result does not depend on
+        # whether the suite runs from a checkout or an exported copy.
+        (tmp_path / "file.txt").write_text("content\n")
+        git(tmp_path, "init", "-q")
+        git(tmp_path, "add", "file.txt")
+        git(tmp_path, "commit", "-q", "-m", "initial")
+        monkeypatch.delenv("GITHUB_SHA", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert environment_fingerprint()["git_sha"] == git(
+            tmp_path, "rev-parse", "HEAD"
+        )
+
+    def test_git_sha_falls_back_to_github_sha_outside_a_checkout(
+        self, tmp_path, monkeypatch, uncached_git_sha
+    ):
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+        monkeypatch.setenv("GITHUB_SHA", "a" * 40)
+        monkeypatch.chdir(tmp_path)
+        assert environment_fingerprint()["git_sha"] == "a" * 40
+
+    def test_git_sha_is_none_outside_a_checkout(
+        self, tmp_path, monkeypatch, uncached_git_sha
+    ):
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+        monkeypatch.delenv("GITHUB_SHA", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert environment_fingerprint()["git_sha"] is None
 
     def test_repro_scale_reflects_the_live_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "0.125")

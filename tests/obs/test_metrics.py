@@ -20,8 +20,6 @@ from repro.obs import (
     MetricError,
     MetricsRegistry,
     get_registry,
-    metrics_enabled,
-    set_metrics_enabled,
     set_registry,
 )
 
@@ -195,14 +193,6 @@ class TestDefaultRegistry:
         finally:
             set_registry(previous)
 
-    def test_metrics_enabled_toggle(self):
-        assert metrics_enabled()
-        set_metrics_enabled(False)
-        try:
-            assert not metrics_enabled()
-        finally:
-            set_metrics_enabled(True)
-
 
 #: Metric families a real authenticate() run must populate.
 EXPECTED_POPULATED = (
@@ -265,128 +255,6 @@ class TestPipelineIntegration:
             == 2.0
         )
         assert registry.get("echoimage_distance_user_m").value > 0.0
-
-    def test_disabled_metrics_record_nothing(
-        self, quiet_scene, chirp, subject
-    ):
-        registry = MetricsRegistry()
-        previous = set_registry(registry)
-        set_metrics_enabled(False)
-        try:
-            pipeline = EchoImagePipeline(
-                config=EchoImageConfig(
-                    imaging=ImagingConfig(grid_resolution=24),
-                    auth=AuthenticationConfig(svdd_margin=0.3),
-                )
-            )
-            rng = np.random.default_rng(1)
-            pipeline.enroll_user(
-                quiet_scene.record_beeps(
-                    chirp, subject.beep_clouds(0.7, 12, rng), rng
-                )
-            )
-            pipeline.authenticate(
-                quiet_scene.record_beeps(
-                    chirp, subject.beep_clouds(0.7, 3, rng), rng
-                )
-            )
-        finally:
-            set_metrics_enabled(True)
-            set_registry(previous)
-        assert all(not f.samples() for f in registry.families())
-
-
-class TestHistogramAddCounts:
-    def test_adds_precomputed_counts(self):
-        h = Histogram((1.0, 2.0))
-        h.observe(0.5)
-        h.add_counts((1, 2, 3), sum=10.0, count=6)
-        assert h.bucket_counts() == (2, 2, 3)
-        assert h.count == 7
-        assert h.sum == pytest.approx(10.5)
-
-    def test_rejects_bad_counts(self):
-        h = Histogram((1.0,))
-        with pytest.raises(MetricError):
-            h.add_counts((1,), sum=1.0, count=1)  # needs len(bounds)+1
-        with pytest.raises(MetricError):
-            h.add_counts((1, -1), sum=1.0, count=0)
-        with pytest.raises(MetricError):
-            h.add_counts((1, 1), sum=1.0, count=-2)
-
-
-class TestSnapshotMerge:
-    def populate(self, reg):
-        reg.counter("req_total", "requests", labels=("status",)).labels(
-            status="ok"
-        ).inc(2)
-        reg.gauge("depth", "queue depth").set(3.0)
-        hist = reg.histogram("lat", "latency", buckets=(1.0, 5.0))
-        for v in (0.5, 2.0, 9.0):
-            hist.observe(v)
-
-    def test_merge_into_empty_registry_reproduces_totals(self):
-        source, target = MetricsRegistry(), MetricsRegistry()
-        self.populate(source)
-        target.merge(source.snapshot())
-        assert target.render_prometheus() == source.render_prometheus()
-
-    def test_merge_accumulates_counters_and_histograms(self):
-        source, target = MetricsRegistry(), MetricsRegistry()
-        self.populate(source)
-        snapshot = source.snapshot()
-        target.merge(snapshot)
-        target.merge(snapshot)
-        assert (
-            target.counter("req_total", labels=("status",))
-            .labels(status="ok").value == 4.0
-        )
-        hist = target.get("lat").labels()
-        assert hist.count == 6
-        assert hist.sum == pytest.approx(23.0)
-        assert hist.bucket_counts() == (2, 2, 2)
-
-    def test_merge_gauge_is_last_write_wins(self):
-        source, target = MetricsRegistry(), MetricsRegistry()
-        target.gauge("depth").set(99.0)
-        source.gauge("depth").set(3.0)
-        target.merge(source.snapshot())
-        assert target.gauge("depth").value == 3.0
-
-    def test_merge_is_commutative_for_counters(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("c_total").inc(1)
-        b.counter("c_total").inc(2)
-        ab, ba = MetricsRegistry(), MetricsRegistry()
-        ab.merge(a.snapshot())
-        ab.merge(b.snapshot())
-        ba.merge(b.snapshot())
-        ba.merge(a.snapshot())
-        assert ab.render_prometheus() == ba.render_prometheus()
-        assert ab.counter("c_total").value == 3.0
-
-    def test_merge_rejects_schema_mismatch(self):
-        reg = MetricsRegistry()
-        snapshot = MetricsRegistry().snapshot()
-        snapshot["schema"] = SCHEMA_VERSION + 1
-        with pytest.raises(MetricError):
-            reg.merge(snapshot)
-
-    def test_merge_rejects_unknown_kind(self):
-        reg = MetricsRegistry()
-        snapshot = {
-            "schema": SCHEMA_VERSION,
-            "metrics": [{"name": "x", "type": "summary", "samples": []}],
-        }
-        with pytest.raises(MetricError):
-            reg.merge(snapshot)
-
-    def test_merge_conflicting_registration_raises(self):
-        source, target = MetricsRegistry(), MetricsRegistry()
-        source.counter("x_total").inc()
-        target.gauge("x_total")
-        with pytest.raises(MetricError):
-            target.merge(source.snapshot())
 
 
 def parse_prometheus(text: str) -> dict:
@@ -611,14 +479,3 @@ class TestExemplars:
         assert sample["exemplar"]["request_id"] == "req-a"
         # The text exposition stays byte-stable: no exemplar syntax.
         assert "req-a" not in registry.render_prometheus()
-
-    def test_exemplar_survives_snapshot_merge(self):
-        worker = MetricsRegistry()
-        worker.histogram("x_seconds", "d").labels().observe(
-            0.1, exemplar={"request_id": "req-w", "value": 0.1}
-        )
-        parent = MetricsRegistry()
-        parent.histogram("x_seconds", "d")
-        parent.merge(worker.snapshot())
-        merged = parent.get("x_seconds").labels()
-        assert merged.exemplar == {"request_id": "req-w", "value": 0.1}

@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro.config import SentinelConfig
-from repro.core.telemetry import (
+from repro.obs.telemetry import (
     TENANT_HASH_BUCKETS,
     TENANT_LABEL_CAP,
     pipeline_metrics,

@@ -12,10 +12,8 @@ from repro.obs import (
     current_trace,
     ensure_trace,
     remove_sink,
-    set_tracing,
     start_trace,
     trace,
-    tracing_enabled,
 )
 
 
@@ -134,24 +132,6 @@ class TestEnsureTrace:
         with start_trace() as ambient:
             with ensure_trace() as seen:
                 assert seen is ambient
-
-
-class TestSetTracing:
-    def test_disabled_tracing_collects_nothing(self):
-        captured = []
-        add_sink(captured.append)
-        set_tracing(False)
-        try:
-            assert not tracing_enabled()
-            with start_trace() as collected:
-                with trace("stage") as span:
-                    assert span is NULL_SPAN
-            assert not collected.spans
-            assert captured == []
-        finally:
-            set_tracing(True)
-            remove_sink(captured.append)
-        assert tracing_enabled()
 
 
 class TestSinks:

@@ -1,41 +1,49 @@
 """Cross-worker telemetry propagation and the serving flight recorder.
 
-The process backend runs pipelines in worker processes whose metric
-increments and traces would otherwise vanish with the worker.  These
-tests pin the propagation contract: after a batch, the parent registry
-holds the *same totals* no matter which backend served it, worker traces
-replay through the parent's sinks, and failed batches leave a black-box
+The process backend runs pipelines in worker processes whose traces
+would otherwise vanish with the worker, and the parent derives every
+pipeline metric from those traces.  These tests pin the propagation
+contract: after a batch, the parent registry holds the *same metrics*
+no matter which backend served it, worker traces replay through the
+parent's sinks (and only there), and failed batches leave a black-box
 flight dump behind.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import re
 import threading
 
 import numpy as np
 import pytest
 
 from repro.config import ServingConfig
+from repro.eval.golden import GOLDEN_CASES, build_case
 from repro.obs import (
     FlightRecorder,
     MetricsRegistry,
     Profiler,
+    add_sink,
+    remove_sink,
     set_registry,
 )
+from repro.obs.telemetry import TIMED_STAGES
 from repro.serve import (
     STATUS_OK,
     STATUS_TIMEOUT,
     AuthenticationRequest,
     BatchAuthenticator,
     DegradationPolicy,
+    ModelBundle,
 )
 
 from .test_executor import make_requests, run_guarded
 
 #: Counter families whose totals must be backend-independent.  Includes
-#: both serve-level counters (recorded in the parent) and pipeline-level
-#: ones (recorded inside workers and shipped back as deltas).
+#: both serve-level counters (recorded by the serving fan-out) and
+#: pipeline-level ones (derived from the worker traces in the parent).
 COMPARED_COUNTERS = (
     "echoimage_serve_requests_total",
     "echoimage_auth_attempts_total",
@@ -121,8 +129,10 @@ class TestBackendTotalsMatch:
             == 3.0
         )
 
-        # Deterministic pipeline histograms agree sample-for-sample
-        # (sums up to float addition order across worker partials).
+        # Deterministic pipeline histograms agree sample-for-sample.
+        # Process traces become metrics in the parent in response
+        # order, as serial's do; thread workers' sinks interleave, so
+        # their sums agree up to float addition order.
         for name in COMPARED_HISTOGRAMS:
             serial_family = serial_registry.get(name)
             other_family = other_registry.get(name)
@@ -140,7 +150,10 @@ class TestBackendTotalsMatch:
                 twin = other_samples[labels]
                 assert metric.count == twin.count, name
                 assert metric.bucket_counts() == twin.bucket_counts(), name
-                assert metric.sum == pytest.approx(twin.sum), name
+                if backend == "process":
+                    assert metric.sum == twin.sum, name
+                else:
+                    assert metric.sum == pytest.approx(twin.sum), name
 
     def test_piggyback_fields_are_stripped_before_callers(
         self, enrolled, bundle
@@ -150,7 +163,7 @@ class TestBackendTotalsMatch:
             bundle, "process", make_requests(attempt, 2)
         )
         for response in responses:
-            assert response.telemetry is None
+            assert response.worker_traces == ()
 
     def test_worker_traces_replay_through_parent_sinks(
         self, enrolled, bundle
@@ -170,6 +183,91 @@ class TestBackendTotalsMatch:
         # One worker-side authenticate trace per request, visible in the
         # parent exactly as the serial backend's would be.
         assert len(authenticate_spans) == len(requests)
+
+    def test_parent_sinks_are_never_called_in_a_worker(
+        self, enrolled, bundle, tmp_path
+    ):
+        # A forked worker inherits the parent's sink list; calling those
+        # sinks there would derive metrics the parent never sees, then
+        # derive them again from the re-emitted traces.
+        _, attempt = enrolled
+        calls = tmp_path / "sink_calls.txt"
+
+        def sink(completed):
+            with open(calls, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()}\n")
+
+        add_sink(sink)
+        try:
+            run_batch(bundle, "process", make_requests(attempt, 2))
+        finally:
+            remove_sink(sink)
+        assert set(calls.read_text().split()) == {str(os.getpid())}
+
+
+def deterministic_text(registry) -> str:
+    """The Prometheus text without the wall-time ``*_latency_seconds``
+    families."""
+    kept = []
+    for line in registry.render_prometheus().splitlines():
+        name = re.match(r"(?:# (?:HELP|TYPE) )?([\w:]+)", line).group(1)
+        family = re.sub(r"_(bucket|sum|count)$", "", name)
+        if not family.endswith("_latency_seconds"):
+            kept.append(line)
+    return "\n".join(kept)
+
+
+@pytest.fixture(scope="module")
+def subbands_case():
+    """(bundle, attempt) of the second golden case: three sub-bands."""
+    pipeline, attempt = build_case(GOLDEN_CASES[1])
+    return ModelBundle.from_pipeline(pipeline), attempt
+
+
+class TestDerivedMetrics:
+    def test_process_metrics_equal_serial_byte_for_byte(self, subbands_case):
+        bundle, attempt = subbands_case
+        requests = make_requests(attempt, 3)
+        _, serial = run_batch(bundle, "serial", requests)
+        _, process = run_batch(bundle, "process", requests)
+        text = deterministic_text(serial)
+        assert "echoimage_image_dynamic_range_db_sum" in text
+        assert deterministic_text(process) == text
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_stage_latency_sums_equal_span_durations(
+        self, enrolled, bundle, backend
+    ):
+        _, attempt = enrolled
+        registry = MetricsRegistry()
+        previous = set_registry(registry)
+        try:
+            with Profiler() as profiler:
+                config = ServingConfig(backend=backend, max_workers=2)
+                with BatchAuthenticator(bundle, config) as server:
+                    run_guarded(
+                        lambda: server.authenticate_batch(
+                            make_requests(attempt, 3)
+                        )
+                    )
+        finally:
+            set_registry(previous)
+        family = registry.get("echoimage_stage_latency_seconds")
+        sums = {
+            labels["stage"]: child.sum for labels, child in family.samples()
+        }
+        assert set(sums) == set(TIMED_STAGES)
+        for stage in TIMED_STAGES:
+            expected = 0.0
+            for completed in profiler.traces:
+                for span in completed.find(stage):
+                    expected += span.duration_s
+            if backend == "thread":
+                # Worker threads' sinks interleave: same values, but the
+                # histogram may add them in another order.
+                assert sums[stage] == pytest.approx(expected), stage
+            else:
+                assert sums[stage] == expected, stage
 
 
 class TestFlightRecording:
